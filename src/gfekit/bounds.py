@@ -626,12 +626,8 @@ def certificate(cfg: BoundConfig, result: EliminationResult) -> dict:
         json.dumps(payload, sort_keys=True, default=str).encode()
     ).hexdigest()
     payload["config_hash"] = digest[:16]
-    try:
-        prec = max(
-            (end.precision_used() for end in (result.interval or ()) if end.logs),
-            default=0,
-        )
-    except Exception:
-        prec = None
-    payload["precision_used"] = prec
+    payload["precision_used"] = max(
+        (end.precision_used() for end in (result.interval or ()) if end.logs),
+        default=0,
+    )
     return payload

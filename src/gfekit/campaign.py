@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linlog import LinLog, log_of_int
+from .linlog import LinLog, log_bounds
 from .ramification import A2_TABLES
 from .ramification import a1_coefficient
 from .search import SolutionRecord, check_pair, check_power_tail
@@ -305,17 +305,8 @@ def _choose_l(*exponents: int, given: int | None = None) -> int:
 
 def _smooth_values_under(cap: Fraction, coprime_to: tuple[int, ...],
                          limit: int | None) -> list[int]:
-    vals = []
-    m = 1
-    while True:
-        if limit is not None and m > limit:
-            break
-        if log_of_int(m) > LinLog.of(cap):
-            break
-        if all(m % p for p in coprime_to):
-            vals.append(m)
-        m += 1
-    return vals
+    top = LinLog.of(cap).floor_exp(at_most=limit)
+    return [m for m in range(1, top + 1) if all(m % p for p in coprime_to)]
 
 
 def _spec_for(profile_var, smooth: int, l: int, box_limit: int | None) -> dict:
@@ -373,7 +364,7 @@ def _pair_plan(kind: str, r: int, s: int, t: int, l: int | None,
         groups = [("x", r, "z", t, s, rp + sp, tp), ("y", s, "z", t, r, rp + sp, tp)]
         for na, ea, nb, eb, third, ca, cb in groups:
             for sa in _smooth_values_under(a2 / ca, (2, l), box_limit):
-                rem = a2 - ca * log_linlog_cap(sa)
+                rem = a2 - ca * log_bounds(sa)[1]
                 for sb in _smooth_values_under(rem / cb, (2, l), box_limit):
                     tasks.append(_pair_task(prof, na, sa, ea, nb, sb, eb,
                                             [third], l, box_limit))
@@ -384,7 +375,7 @@ def _pair_plan(kind: str, r: int, s: int, t: int, l: int | None,
         groups = [("x", r, "y", s, t), ("x", r, "z", t, s), ("y", s, "z", t, r)]
         for na, ea, nb, eb, third in groups:
             for sa in _smooth_values_under(joint, (2, l), box_limit):
-                rem = joint - log_linlog_cap(sa)
+                rem = joint - log_bounds(sa)[1]
                 for sb in _smooth_values_under(rem, (2, l), box_limit):
                     tasks.append(_pair_task(prof, na, sa, ea, nb, sb, eb,
                                             [third], l, box_limit))
@@ -392,17 +383,6 @@ def _pair_plan(kind: str, r: int, s: int, t: int, l: int | None,
         name=f"{kind}({r},{s},{t};l={l})", tasks=tasks,
         meta={"r": r, "s": s, "t": t, "l": l, "box_limit": box_limit},
     )
-
-
-def log_linlog_cap(m: int) -> Fraction:
-    """A certified rational upper bound on log(m)."""
-    import math as _math
-
-    if m == 1:
-        return Fraction(0)
-    hi = Fraction(_math.log(m)).limit_denominator(10**12) + Fraction(1, 10**9)
-    assert LinLog.of(hi) > log_of_int(m)
-    return hi
 
 
 def _pair_task(prof, na, sa, ea, nb, sb, eb, t_set, l, box_limit) -> Task:

@@ -9,14 +9,17 @@ outward-rounded interval evaluation at doubling precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from functools import lru_cache
+from typing import Callable, Union
 
 import mpmath
 from mpmath import ctx_iv
+from mpmath.libmp import to_int
 
-__all__ = ["LinLog", "PrecisionExhausted", "log_atom", "log_of_int",
+__all__ = ["LinLog", "PrecisionExhausted", "log_atom", "log_bounds", "log_of_int",
            "set_precision", "get_precision"]
 
 Rat = Union[int, Fraction]
@@ -39,7 +42,7 @@ def get_precision() -> tuple[int, int]:
 
 
 class PrecisionExhausted(ArithmeticError):
-    """Sign of a comparison still straddles zero at the maximum precision."""
+    """A certified decision is still open at the maximum precision."""
 
 
 def _as_fraction(x: Rat) -> Fraction:
@@ -127,15 +130,20 @@ class LinLog:
         """Certified sign (-1, 0, +1); 0 only for the exact zero combination."""
         if not self.logs:
             return (self.const > 0) - (self.const < 0)
-        prec, cap = get_precision()
-        while prec <= cap:
+        return self._certified_sign()[0]
+
+    def _certified_sign(self) -> tuple[int, int]:
+        """(sign, bits used) of a combination with logs."""
+
+        def decide(prec: int) -> int | None:
             enc = self.interval(prec)
             if enc.a > 0:
                 return 1
             if enc.b < 0:
                 return -1
-            prec *= 2
-        raise PrecisionExhausted(f"sign of {self} undecided at {cap} bits")
+            return None
+
+        return _certify(self, decide)
 
     def __lt__(self, other: "LinLog | Rat") -> bool:
         return (self - _coerce(other)).sign() < 0
@@ -153,13 +161,28 @@ class LinLog:
         """Bits needed to certify this quantity's sign (for certificates)."""
         if not self.logs:
             return 0
-        prec, cap = get_precision()
-        while prec <= cap:
+        return self._certified_sign()[1]
+
+    def floor_exp(self, at_most: int | None = None) -> int:
+        """floor(e^self), which is 0 when self < 0, capped at at_most.
+
+        Exact when e^self is rational (no constant, integer coefficients);
+        otherwise both ends of the outward-rounded exp(interval) must have
+        the same floor. A cap is decided first by one comparison, so a huge
+        quantity under a small cap never climbs the precision ladder.
+        """
+        if at_most is not None and (at_most < 1 or log_of_int(at_most) <= self):
+            return at_most
+        if self.const == 0 and all(c.denominator == 1 for _, c in self.logs):
+            return math.floor(math.prod(Fraction(p) ** int(c) for p, c in self.logs))
+
+        def decide(prec: int) -> int | None:
             enc = self.interval(prec)
-            if enc.a > 0 or enc.b < 0:
-                return prec
-            prec *= 2
-        raise PrecisionExhausted(f"sign of {self} undecided")
+            lo, hi = enc.ctx.exp(enc)._mpi_
+            floor = to_int(lo, "f")
+            return floor if floor == to_int(hi, "f") else None
+
+        return _certify(self, decide)[0]
 
     def __float__(self) -> float:
         acc = float(self.const)
@@ -176,6 +199,21 @@ class LinLog:
 
 def _coerce(x: "LinLog | Rat") -> LinLog:
     return x if isinstance(x, LinLog) else LinLog.of(x)
+
+
+def _certify(x: LinLog, decide: Callable[[int], int | None]) -> tuple[int, int]:
+    """Run decide at doubling precision until it returns a result.
+
+    Returns (result, precision used); raises PrecisionExhausted when the
+    configured maximum is reached undecided.
+    """
+    prec, cap = get_precision()
+    while prec <= cap:
+        result = decide(prec)
+        if result is not None:
+            return result, prec
+        prec *= 2
+    raise PrecisionExhausted(f"certified evaluation of {x} undecided at {cap} bits")
 
 
 def _iv_fraction(ctx, q: Fraction):
@@ -197,3 +235,16 @@ def log_of_int(n: int, coeff: Rat = 1) -> LinLog:
         return LinLog.of(0)
     coeff = _as_fraction(coeff)
     return LinLog.build(0, {p: coeff * e for p, e in factor(n).items()})
+
+
+@lru_cache(maxsize=None)
+def log_bounds(n: int) -> tuple[Fraction, Fraction]:
+    """Certified rationals lo < log(n) < hi, each 1e-9 from a float
+    estimate; (0, 0) for n = 1."""
+    if n == 1:
+        return Fraction(0), Fraction(0)
+    mid = Fraction(math.log(n)).limit_denominator(10**12)
+    lo, hi = mid - Fraction(1, 10**9), mid + Fraction(1, 10**9)
+    if not LinLog.of(lo) < log_of_int(n) < LinLog.of(hi):
+        raise PrecisionExhausted(f"float estimate of log({n}) misses [{lo}, {hi}]")
+    return lo, hi

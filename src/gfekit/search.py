@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import integer_nth_root, is_perfect_square, k_full_part, factor
-from .linlog import LinLog, log_of_int
+from .linlog import LinLog
 from .structure import VariableProfile
 
 __all__ = [
@@ -130,17 +130,11 @@ def enumerate_candidates(
 def _smooth_values(profile: VariableProfile, l: int, limit: int | None) -> list[int]:
     if profile.forced_power_of_two:
         return [1]
-    cap = None
+    top = limit
     if profile.smooth_log_cap is not None:
-        cap = Fraction(profile.smooth_log_cap)
+        top = LinLog.of(Fraction(profile.smooth_log_cap)).floor_exp(at_most=limit)
     vals = [1]
-    m = 1
-    while True:
-        m += 1
-        if limit is not None and m > limit:
-            break
-        if cap is not None and log_of_int(m) > LinLog.of(cap):
-            break
+    for m in range(2, top + 1):
         if any(m % p == 0 for p in profile.smooth_coprime_to):
             continue
         # The smooth part must not hide an l-full block (uniqueness of the

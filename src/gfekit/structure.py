@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import factor, is_prime, small_primes
-from .linlog import LinLog, log_atom, log_of_int
+from .linlog import LinLog, log_atom, log_bounds, log_of_int
 from .ramification import A2_TABLES, a1_coefficient
 
 __all__ = [
@@ -67,14 +67,6 @@ _A1_SUP_GENERAL = Fraction(4)          # 3 < a1(p) <= 4 on the 2-torsion table
 _A1_SUP_THREERS = Fraction(76, 10)     # 6 < a1(p) < 7.6 on the cube tables
 
 
-@lru_cache(maxsize=None)
-def _log_lower(p: int) -> Fraction:
-    """A certified rational lower bound on log(p)."""
-    lo = Fraction(math.log(p)).limit_denominator(10**12) - Fraction(1, 10**9)
-    assert LinLog.of(lo) < log_atom(p)
-    return lo
-
-
 def _floor_frac(x: Fraction) -> int:
     return x.numerator // x.denominator
 
@@ -120,13 +112,13 @@ def xl_candidates(r: int, l: int) -> tuple[int, ...]:
     q_pool = [p for p in (11, 13, 17, 19, 23) if p != l and r % p != 0]
     bound = Fraction(GENERAL_H2_CAP, l * r)  # initial log-cap on the l-part
     for _ in range(8):
+        size = LinLog.of(bound).floor_exp()
         count, prod = 0, 1  # pool primes small enough to divide the l-part
         for p in q_pool:
             prod *= p
-            if log_of_int(prod) <= LinLog.of(bound):
-                count += 1
-            else:
+            if prod > size:
                 break
+            count += 1
         if count >= len(q_pool):
             raise ValueError(f"comparison-prime pool exhausted at (r={r}, l={l})")
         q = q_pool[count]
@@ -134,12 +126,7 @@ def xl_candidates(r: int, l: int) -> tuple[int, ...]:
         if new_bound >= bound:
             break
         bound = new_bound
-    out, m = [], 1
-    while log_of_int(m) <= LinLog.of(bound):
-        if m % l:
-            out.append(m)
-        m += 2
-    return tuple(out)
+    return tuple(m for m in range(1, LinLog.of(bound).floor_exp() + 1, 2) if m % l)
 
 
 def general_rl_cap(r: int, l: int) -> int:
@@ -149,10 +136,10 @@ def general_rl_cap(r: int, l: int) -> int:
     q_pool = [p for p in (11, 13, 17, 19, 23) if p != l and r % p != 0]
     # First pass allows the l-exponent to hide one pool prime.
     q = q_pool[1] if len(q_pool) > 1 else q_pool[0]
-    prod_cap = _GENERAL_TABLE[q] / _log_lower(l) + 4
+    prod_cap = _GENERAL_TABLE[q] / log_bounds(l)[0] + 4
     if prod_cap / r < 11:  # now too small to hide a pool prime
         q = q_pool[0]
-        prod_cap = _GENERAL_TABLE[q] / _log_lower(l) + 4
+        prod_cap = _GENERAL_TABLE[q] / log_bounds(l)[0] + 4
     return _floor_frac(prod_cap / r)
 
 
@@ -166,30 +153,14 @@ def general_rl_product_cap() -> int:
     on the safe side.
     """
     pool = (11, 13, 17, 19, 23)
-    first = _GENERAL_TABLE[pool[3]] / _log_lower(11) + 4
+    first = _GENERAL_TABLE[pool[3]] / log_bounds(11)[0] + 4
     if first / 4 >= 11:
         raise AssertionError("first-pass l-exponent cap unexpectedly large")
-    return _floor_frac(_GENERAL_TABLE[pool[2]] / _log_lower(11) + 4)
+    return _floor_frac(_GENERAL_TABLE[pool[2]] / log_bounds(11)[0] + 4)
 
 
 # ---------------------------------------------------------------------------
 # General family: 2-adic sieve (v = r2 * r).
-
-
-def _vmax_per_l(table: dict[int, Fraction], *, three_slack_at_17: bool) -> dict[int, int]:
-    """Largest v with (v-4)*log2 <= a2(l) (+ 4log3 slack at l = 17)."""
-    out = {}
-    for l, a2 in table.items():
-        rhs = LinLog.of(a2)
-        if three_slack_at_17 and l == 17:
-            rhs = rhs + log_atom(3, 4)
-        v, step = 4, 4096
-        while step:
-            while not log_atom(2, v + step - 4) > rhs:
-                v += step
-            step //= 2
-        out[l] = v
-    return out
 
 
 def _adversary_sets(table: tuple[int, ...], slots: int):
@@ -204,31 +175,41 @@ def _adversary_sets(table: tuple[int, ...], slots: int):
             yield s
 
 
-@lru_cache(maxsize=None)
-def general_v2_sieve() -> tuple[int, int]:
-    """(max of r2*r, max exponent allowing r2 >= 1) for the general family.
+def _floor_over_log(p: int, x: LinLog) -> int:
+    """floor(x / log p) for a prime p: a float estimate, checked (and
+    stepped if the float was off) by two certified comparisons."""
+    k = math.floor(float(x) / math.log(p))
+    while log_atom(p, k) > x:
+        k -= 1
+    while log_atom(p, k + 1) <= x:
+        k += 1
+    return k
 
-    Enumerates v = r2*r up to the published height cap. A value survives if
-    some signature context (the companion exponents replaced by at most one
-    table prime each) blocks every comparison prime below v's level,
-    simultaneously for every divisor-replacement of the exponent.
+
+def _exponent_sieve(table: tuple[int, ...], vmax: dict[int, int], v_cap: int,
+                    expos: range, offset: int, slots: int) -> tuple[int, int]:
+    """Skeleton of the exponent sieves: (max of v = k*expo, max expo
+    allowing k >= 1) over expo in expos and v <= v_cap.
+
+    vmax[l] is the largest v comparison prime l admits. Adversaries exclude
+    at most `slots` table primes, v - offset hides its own table primes, and
+    the exponent may be replaced by any divisor >= expos.start; v <= offset
+    always survives.
     """
-    table = tuple(sorted(_GENERAL_MU6))
-    vmax = _vmax_per_l(_GENERAL_MU6, three_slack_at_17=True)
-    v_cap = _floor_frac(GENERAL_H_CAP / _log_lower(2))
-    adversaries = list(_adversary_sets(table, 2))
+    adversaries = list(_adversary_sets(table, slots))
 
     @lru_cache(maxsize=None)
     def divisor_profiles(expo: int) -> tuple[frozenset[int], ...]:
-        profs = {_table_primes_of(d, table) for d in _divisors_upto(expo) if d >= 4}
+        profs = {_table_primes_of(d, table) for d in _divisors_upto(expo)
+                 if d >= expos.start}
         return tuple(p for p in profs if not any(q < p for q in profs))
 
     def consistent(v: int, expo: int) -> bool:
-        if v <= 4:
+        if v <= offset:
             return True
         if v > vmax[table[-1]]:
             return False
-        hidden = _table_primes_of(v - 4, table)
+        hidden = _table_primes_of(v - offset, table)
         for adv in adversaries:
             for prof in divisor_profiles(expo):
                 excl = prof | adv | hidden
@@ -242,12 +223,31 @@ def general_v2_sieve() -> tuple[int, int]:
         return False
 
     best_v = best_expo = 0
-    for expo in range(4, GENERAL_EXPONENT_MAX + 1):
-        for r2 in range(1, v_cap // expo + 1):
-            if consistent(expo * r2, expo):
-                best_v = max(best_v, expo * r2)
+    for expo in expos:
+        for k in range(1, v_cap // expo + 1):
+            if consistent(expo * k, expo):
+                best_v = max(best_v, expo * k)
                 best_expo = max(best_expo, expo)
     return best_v, best_expo
+
+
+@lru_cache(maxsize=None)
+def general_v2_sieve() -> tuple[int, int]:
+    """(max of r2*r, max exponent allowing r2 >= 1) for the general family.
+
+    Enumerates v = r2*r up to the published height cap. A value survives if
+    some signature context (the companion exponents replaced by at most one
+    table prime each) blocks every comparison prime below v's level,
+    simultaneously for every divisor-replacement of the exponent.
+    """
+    vmax = {}
+    for l, a2 in _GENERAL_MU6.items():
+        # Largest v with (v-4)*log2 <= a2(l) (+ 4log3 slack at l = 17).
+        rhs = LinLog.of(a2) + (log_atom(3, 4) if l == 17 else 0)
+        vmax[l] = 4 + _floor_over_log(2, rhs)
+    v_cap = _floor_frac(GENERAL_H_CAP / log_bounds(2)[0])
+    return _exponent_sieve(tuple(sorted(_GENERAL_MU6)), vmax, v_cap,
+                           range(4, GENERAL_EXPONENT_MAX + 1), offset=4, slots=2)
 
 
 @lru_cache(maxsize=None)
@@ -284,7 +284,7 @@ def threers_v2_product_cap() -> int:
     be blocked (replaced exponent, companion exponent, one prime inside the
     2-exponent), so the fourth table entry bounds 3*v*log2."""
     table = tuple(sorted(_THREERS_MU6))
-    cap = _floor_frac(Fraction(_THREERS_MU6[table[3]]) / (3 * _log_lower(2)))
+    cap = _floor_frac(Fraction(_THREERS_MU6[table[3]]) / (3 * log_bounds(2)[0]))
     if cap // 7 >= 17 * 19:
         raise AssertionError("2-exponent could hide two table primes")
     return cap
@@ -293,47 +293,15 @@ def threers_v2_product_cap() -> int:
 @lru_cache(maxsize=None)
 def threers_v3_sieve() -> tuple[int, int]:
     """(max of r3*r, max exponent allowing r3 >= 1) for the cube family."""
-    table = tuple(sorted(_THREERS_TABLE))
     vmax = {}
-    for l in table:
+    for l, a2 in _THREERS_TABLE.items():
+        # Largest v with (3v - 3 - a1(l)) * log3 < a2(l), i.e. 3v below
+        # (a2 + (3 + a1) * log3) / log3, never equal to it since a2 > 0.
         a1 = a1_coefficient("threers-2tor", l)
-        v, step = 1, 1024  # largest v with (3v - 3 - a1(l)) * log3 < a2(l)
-        while step:
-            while not (log_atom(3, 3 * (v + step) - 3 - a1)
-                       >= LinLog.of(_THREERS_TABLE[l])):
-                v += step
-            step //= 2
-        vmax[l] = v
-    v_cap = _floor_frac(THREERS_X2_CAP / _log_lower(3))
-
-    @lru_cache(maxsize=None)
-    def divisor_profiles(expo: int) -> tuple[frozenset[int], ...]:
-        profs = {_table_primes_of(d, table) for d in _divisors_upto(expo) if d >= 7}
-        return tuple(p for p in profs if not any(q < p for q in profs))
-
-    def consistent(v: int, expo: int) -> bool:
-        if v > vmax[table[-1]]:
-            return False
-        hidden = _table_primes_of(v - 1, table)
-        for adv in [frozenset()] + [frozenset({p}) for p in table]:
-            for prof in divisor_profiles(expo):
-                excl = prof | adv | hidden
-                l = next((p for p in table if p not in excl), None)
-                if l is None:
-                    raise AssertionError("comparison-prime table exhausted")
-                if v > vmax[l]:
-                    break
-            else:
-                return True
-        return False
-
-    best_v = best_expo = 0
-    for expo in range(7, 668):
-        for r3 in range(1, v_cap // expo + 1):
-            if consistent(expo * r3, expo):
-                best_v = max(best_v, expo * r3)
-                best_expo = max(best_expo, expo)
-    return best_v, best_expo
+        vmax[l] = _floor_over_log(3, LinLog.of(a2) + log_atom(3, 3 + a1)) // 3
+    v_cap = _floor_frac(THREERS_X2_CAP / log_bounds(3)[0])
+    return _exponent_sieve(tuple(sorted(_THREERS_TABLE)), vmax, v_cap,
+                           range(7, 668), offset=1, slots=1)
 
 
 @lru_cache(maxsize=None)
@@ -342,7 +310,7 @@ def threers_rl_product_cap() -> int:
     max_q (a2(q)/log(q) + a1_sup)/3 over the first four table primes."""
     best = None
     for q in sorted(_THREERS_TABLE)[:4]:
-        val = (Fraction(_THREERS_TABLE[q]) / _log_lower(q) + _A1_SUP_THREERS) / 3
+        val = (Fraction(_THREERS_TABLE[q]) / log_bounds(q)[0] + _A1_SUP_THREERS) / 3
         best = val if best is None or val > best else best
     return _floor_frac(best)
 
@@ -387,12 +355,11 @@ def threers_lpart_candidates(r: int, s: int, l: int) -> tuple[tuple[int, ...], t
     table = sorted(_THREERS_TABLE)
     coeff = {"x": Fraction(3 * r),
              "y": Fraction(3 * s) if r >= 8 else Fraction(20 * s, 7)}
-    caps = {}
-    for side, expo in (("x", r), ("y", s)):
-        cap = 1
-        while log_of_int(cap + 1) <= LinLog.of(Fraction(THREERS_X2_CAP, expo * l)):
-            cap += 1
-        caps[side] = cap
+    caps = {side: max(1, LinLog.of(Fraction(THREERS_X2_CAP, expo * l)).floor_exp())
+            for side, expo in (("x", r), ("y", s))}
+
+    def to_set(cap: int) -> tuple[int, ...]:
+        return tuple(m for m in range(1, cap + 1) if m % 2 and m % 3 and m % l)
 
     def refine(side: str) -> int:
         other = "y" if side == "x" else "x"
@@ -403,21 +370,13 @@ def threers_lpart_candidates(r: int, s: int, l: int) -> tuple[tuple[int, ...], t
         bound = (LinLog.of(_THREERS_TABLE[q])
                  + log_of_int(max(1, caps[side] * caps[other]), _A1_SUP_THREERS)
                  ) / (coeff[side] * l - _A1_SUP_THREERS)
-        cap = 0
-        for m in range(1, caps[side] + 1):
-            if m % 2 and m % 3 and m % l and not log_of_int(m) > bound:
-                cap = m
-        return max(cap, 1)
+        return max(to_set(bound.floor_exp(at_most=caps[side])), default=1)
 
     for _ in range(4):
         nxt = {side: refine(side) for side in ("x", "y")}
         if nxt == caps:
             break
         caps = nxt
-
-    def to_set(cap: int) -> tuple[int, ...]:
-        return tuple(m for m in range(1, cap + 1) if m % 2 and m % 3 and m % l)
-
     return to_set(caps["x"]), to_set(caps["y"])
 
 
@@ -618,8 +577,8 @@ def structure_profile(
         if t not in admissible:
             raise ValueError(f"t={t} is outside the admissible exponent set")
         logz_cap = TWOTHREE_LOGZ_CAPS.get(t, TWOTHREE_LOGZ_CAPS[17])
-        cap_e2 = _floor_frac(logz_cap / (t * _log_lower(2)))
-        cap_e3 = _floor_frac(logz_cap / (t * _log_lower(3)))
+        cap_e2 = _floor_frac(logz_cap / (t * log_bounds(2)[0]))
+        cap_e3 = _floor_frac(logz_cap / (t * log_bounds(3)[0]))
         notes: list[str] = []
         if t < 60:
             notes.append("structure caps need t >= 60; only the t-sieve applies")
@@ -631,7 +590,7 @@ def structure_profile(
         else:
             size_cap = min((cap for floor, cap in TWOTHREE_Z6_CAPS if t >= floor),
                            default=None)
-            smooth = None if size_cap is None else _log_upper_int(size_cap)
+            smooth = None if size_cap is None else log_bounds(size_cap)[1]
             var = VariableProfile(
                 name="z", exponent=t, smooth_log_cap=smooth,
                 lpart_candidates=(1,), cap_e2=cap_e2, cap_e3=cap_e3, cap_el=0,
@@ -646,9 +605,3 @@ def structure_profile(
         )
 
     raise ValueError(f"unknown family case {family_case!r}")
-
-
-def _log_upper_int(n: int) -> Fraction:
-    hi = Fraction(math.log(n)).limit_denominator(10**12) + Fraction(1, 10**9)
-    assert LinLog.of(hi) > log_of_int(n)
-    return hi

@@ -8,6 +8,7 @@ import math
 import random
 import sys
 import time
+import zlib
 from fractions import Fraction
 
 from gfekit.arith import coprime_part, factor, integer_nth_root, k_full_part, radical
@@ -59,7 +60,7 @@ def test_acceptance_2_invariant_oracle():
     t0 = time.time()
     failures = 0
     for family in FreyFamily:
-        rng = random.Random(hash(family.name) & 0xFFF)
+        rng = random.Random(zlib.crc32(family.name.encode()) & 0xFFF)
         for _ in range(1000):
             a, b, c = random_triple(family, rng)
             inv = invariants(family, a, b, c)

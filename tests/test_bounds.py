@@ -6,6 +6,7 @@ import pytest
 from gfekit.arith import FactoredInteger
 from gfekit.bounds import (
     ConfigError,
+    EliminationResult,
     certificate,
     default_profile,
     derived_constants,
@@ -15,7 +16,13 @@ from gfekit.bounds import (
     make_config,
     scenario,
 )
-from gfekit.linlog import LinLog, log_atom
+from gfekit.linlog import (
+    LinLog,
+    PrecisionExhausted,
+    get_precision,
+    log_atom,
+    set_precision,
+)
 from gfekit.ramification import VolNotConfigured, VolTable, default_vol_table
 from tests.conftest import synthetic_config
 
@@ -199,3 +206,22 @@ def test_forbidden_interval_with_synthetic_vols():
     if res.applicable:
         lo, hi = res.interval_floats()
         assert lo < hi
+
+
+def test_certificate_propagates_precision_exhaustion():
+    table = VolTable()
+    for l in (11, 13):
+        table.set_raw(("GENERAL_ABC", 1, l, None), Fraction(1, 4), "synthetic")
+    cfg = scenario("general", (5, 7, 11), "a", s_primes=(11, 13), k=2,
+                   tables=table)
+    # 3^665 and 2^1054 agree to about 1e-4 in log: 16 bits cannot sign it.
+    tight = log_atom(3, 665) - log_atom(2, 1054)
+    res = EliminationResult(True, "unprimed", (tight, LinLog.of(10)), {})
+    assert certificate(cfg, res)["precision_used"] > 16
+    saved = get_precision()
+    set_precision(16, 16)
+    try:
+        with pytest.raises(PrecisionExhausted):
+            certificate(cfg, res)
+    finally:
+        set_precision(*saved)

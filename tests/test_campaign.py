@@ -33,6 +33,21 @@ def test_p3_plan_shape():
     assert build_p2_plan(4, 5, 30, box_limit=4).tasks
 
 
+@pytest.mark.parametrize("build, exponents, tasks, digest", [
+    (build_p3_plan, (4, 5, 5), 243,
+     "8a36e5fed6e64de7ce307d855fbbcd5732a9ebbf13e863278acf4600c8af6faa"),
+    (build_p1_plan, (7, 11), 18,
+     "bcceb47b54320513bcdc113581fd22ca65d17b5d4aa93b075be65e6a0594e652"),
+    (build_p2_plan, (4, 5, 8), 162,
+     "bf6b1ca1f1cdd2e77923859403c0247388b893725c1f0bcb9db9268db9c8a694"),
+])
+def test_plan_hash_pins(build, exponents, tasks, digest):
+    # Smooth-part enumeration and the certified log caps feed these hashes.
+    plan = build(*exponents, box_limit=20)
+    assert len(plan.tasks) == tasks
+    assert plan.plan_hash() == digest
+
+
 def test_p1_plan_shape():
     plan = build_p1_plan(4, 5, box_limit=10)
     assert plan.meta["l"] == 11

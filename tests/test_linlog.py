@@ -1,8 +1,14 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gfekit.linlog import LinLog, log_atom, log_of_int
+import gfekit
+from gfekit.arith import small_primes
+from gfekit.linlog import LinLog, PrecisionExhausted, log_atom, log_bounds, log_of_int
 
 
 def test_exact_zero_combination():
@@ -45,3 +51,57 @@ def test_division_and_scale():
     b2 = LinLog.of(10)
     b1 = Fraction(1, 2)
     assert (b2 / (1 - b1)).rational_value() == 20
+
+
+def _small_linlog(const, coeffs):
+    return LinLog.build(const, dict(zip((2, 3, 5, 7), coeffs)))
+
+
+small_fracs = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+exponent_values = st.one_of(
+    st.fractions(min_value=-5, max_value=150, max_denominator=1000).map(LinLog.of),
+    st.builds(_small_linlog, small_fracs, st.lists(small_fracs, max_size=4))
+    .filter(lambda x: -5 <= float(x) <= 150),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(exponent_values)
+def test_floor_exp_brackets_the_exponential(x):
+    m = x.floor_exp()
+    if x < 0:
+        assert m == 0
+    elif m < 10**12:
+        assert log_of_int(m) <= x < log_of_int(m + 1)
+    else:  # too large to factor quickly: compare with a 2000-bit evaluation
+        with mpmath.workprec(2000):
+            value = mpmath.mpf(x.const.numerator) / x.const.denominator
+            for p, c in x.logs:
+                value += mpmath.mpf(c.numerator) / c.denominator * mpmath.log(p)
+            assert m == int(mpmath.floor(mpmath.exp(value)))
+
+
+def test_floor_exp_exact_and_capped():
+    assert log_of_int(35).floor_exp() == 35
+    assert (log_of_int(35) - log_of_int(4)).floor_exp() == 8
+    assert LinLog.of(10**4).floor_exp(at_most=50) == 50
+    with pytest.raises(PrecisionExhausted):
+        LinLog.of(10**4).floor_exp()
+
+
+def test_log_bounds_bracket_prime_logs():
+    assert log_bounds(1) == (0, 0)
+    for p in small_primes()[:100]:
+        lo, hi = log_bounds(p)
+        assert LinLog.of(lo) < log_atom(p) < LinLog.of(hi)
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips assert statements, so no proof step may use one.
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(gfekit.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert offenders == []

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from gfekit.linlog import get_precision, set_precision
 from gfekit.structure import (
     general_rl_cap,
     general_rl_product_cap,
@@ -68,6 +69,18 @@ def test_general_rl_caps():
 
 def test_general_v2_sieve_reproduces_published_caps():
     assert general_v2_sieve() == (306, 303)
+
+
+def test_exponent_sieves_settle_at_the_initial_precision():
+    # The per-prime vmax caps are small comparisons: no ladder step is needed,
+    # so a low configured maximum must not change (or break) the sieves.
+    expected = general_v2_sieve(), threers_v3_sieve()
+    saved = get_precision()
+    set_precision(128, 128)
+    try:
+        assert (general_v2_sieve.__wrapped__(), threers_v3_sieve.__wrapped__()) == expected
+    finally:
+        set_precision(*saved)
 
 
 def test_general_x1_collapse():
@@ -138,6 +151,8 @@ def test_structure_profile_twothree():
     assert var.lpart_candidates == (1,)
     assert var.smooth_log_cap is not None  # z coprime-to-6 part below 35
     assert float(var.smooth_log_cap) < 3.56
+    # Certified upper bound on log(35); pinned because it reaches printed caps.
+    assert var.smooth_log_cap == Fraction(942581555928116534123, 265116534123000000000)
     with pytest.raises(ValueError):
         structure_profile("twothree", (110,), 11)  # sieved out
 
