@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 _TRIAL_LIMIT = 10**6
+# factor() trial-divides by the primes up to this bound only. A cofactor left
+# below its square has no prime factor up to the bound, so it is prime.
+_TRIAL_BOUND = 1000
 _DEFAULT_SEED = [0]
 
 
@@ -150,26 +153,30 @@ def _factor_into(n: int, out: dict[int, int], rng: random.Random, budget: list[i
 def factor(n: int, *, budget: int = 50_000_000, seed: int | None = None) -> "FactoredInteger":
     """Factor a positive integer into certified primes.
 
-    Trial division below 10^6, then Brent-Pollard rho with a work budget.
-    Raises FactorizationBudgetExceeded rather than returning a partial map.
+    Trial division by the primes up to 1000 (`_TRIAL_BOUND`). A cofactor
+    below 1000^2 is then prime; a larger one is proven prime by `is_prime`,
+    or split by the perfect-power check and Brent-Pollard rho under a work
+    budget. Raises FactorizationBudgetExceeded rather than returning a
+    partial map. The map is built from proven primes only, so it skips the
+    public constructor's primality re-check.
     """
     if n < 1:
         raise ValueError(f"factor() requires n >= 1, got {n}")
     factors: dict[int, int] = {}
     for p in small_primes():
-        if p * p > n:
+        if p * p > n or p > _TRIAL_BOUND:
             break
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
     if n > 1:
-        if n < _TRIAL_LIMIT * _TRIAL_LIMIT:
+        if n < _TRIAL_BOUND * _TRIAL_BOUND:
             factors[n] = factors.get(n, 0) + 1
         else:
             if seed is None:
                 seed = _DEFAULT_SEED[0]
             _factor_into(n, factors, random.Random(seed), [budget])
-    return FactoredInteger(factors)
+    return FactoredInteger._raw(tuple(sorted(factors.items())))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -190,18 +191,34 @@ def _read_checkpoint(path: str, plan_hash: str) -> dict[str, dict]:
     done: dict[str, dict] = {}
     if not os.path.exists(path):
         return done
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # Every record is written as one line ending in a newline, so bytes after
+    # the last newline are a line cut off mid-write. Drop them, so that the
+    # next record starts on a fresh line; that line's task runs again.
+    complete = data.rfind(b"\n") + 1
+    if complete < len(data):
+        warnings.warn(
+            f"checkpoint {path}: dropped a torn final line "
+            f"({len(data) - complete} bytes); its task will run again",
+            stacklevel=3,
+        )
+        with open(path, "r+b") as fh:
+            fh.truncate(complete)
+    try:
+        lines = [ln for ln in data[:complete].decode().split("\n") if ln.strip()]
+        records = [json.loads(ln) for ln in lines]
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointMismatch(f"checkpoint {path} has a corrupt line: {exc}") from exc
     if not lines:
         return done
-    head = json.loads(lines[0])
+    head = records[0]
     if head.get("plan_hash") != plan_hash:
         raise CheckpointMismatch(
             f"checkpoint is for plan {head.get('plan_hash')!r}, not {plan_hash!r}"
         )
     body = []
-    for ln in lines[1:]:
-        d = json.loads(ln)
+    for ln, d in zip(lines[1:], records[1:]):
         if "integrity" in d:
             expect = _sha("\n".join([lines[0]] + body))
             if d["integrity"] != expect:

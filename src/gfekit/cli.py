@@ -38,24 +38,35 @@ _FAMILY_ALIASES = {
 }
 
 
+class ConfigFileError(Exception):
+    """The tool configuration is malformed: unreadable JSON, an unsupported
+    schema_version, or an entry without a required key. Exits 2."""
+
+
 def load_config(path: str | None) -> dict:
     """Tool configuration: vol tables, precision, budgets, paths."""
     path = path or os.environ.get(CONFIG_ENV)
     if not path:
         return {"schema_version": 1}
     with open(path) as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigFileError(f"{path} is not valid JSON: {exc}") from exc
     if cfg.get("schema_version") != 1:
-        raise ValueError(f"unsupported config schema {cfg.get('schema_version')!r}")
+        raise ConfigFileError(f"unsupported config schema {cfg.get('schema_version')!r}")
     return cfg
 
 
 def vol_table_from_config(cfg: dict) -> VolTable:
     table = default_vol_table()
-    for entry in cfg.get("vol_tables", []):
-        key = (entry["family"], entry["kind"], entry["l"], entry.get("q"))
-        table.set_raw(key, Fraction(entry["value"]),
-                      entry.get("provenance", "user-supplied"))
+    for i, entry in enumerate(cfg.get("vol_tables", [])):
+        try:
+            key = (entry["family"], entry["kind"], entry["l"], entry.get("q"))
+            value = entry["value"]
+        except KeyError as exc:
+            raise ConfigFileError(f"vol_tables entry {i} has no key {exc}") from exc
+        table.set_raw(key, Fraction(value), entry.get("provenance", "user-supplied"))
     return table
 
 
@@ -349,7 +360,7 @@ def command_dispatch(argv=None) -> int:
             CheckpointMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (FileNotFoundError, ConfigFileError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -127,19 +127,26 @@ def weierstrass_coefficients(family: FreyFamily, a: int, b: int, c: int) -> tupl
     return (0, 2 * c, 0, a, 0)
 
 
+# The small powers of 2 and 3 the closed forms divide out.
+_N_256 = FactoredInteger({2: 8})
+_N_1728 = FactoredInteger({2: 6, 3: 3})
+_N_27 = FactoredInteger({3: 3})
+_N_64 = FactoredInteger({2: 6})
+
+
 def _denom_factored(family: FreyFamily, a: int, b: int, c: int) -> FactoredInteger:
     # Assemble N from the factorizations of |a|, |b|, |c|; the closed forms
     # are monomials in the triple divided by a small power of 2 or 3.
     fa, fb, fc = factor(abs(a)), factor(abs(b)), factor(abs(c))
     if family is FreyFamily.GENERAL_ABC:
-        return ((fa * fb * fc) ** 2).exact_div(FactoredInteger({2: 8}))
+        return ((fa * fb * fc) ** 2).exact_div(_N_256)
     if family is FreyFamily.TWO_THREE:
-        return fc.exact_div(fc.gcd(factor(1728)))
+        return fc.exact_div(fc.gcd(_N_1728))
     if family is FreyFamily.THREE_RS:
         n = fa**3 * fb
-        return n.exact_div(n.gcd(factor(27)))
+        return n.exact_div(n.gcd(_N_27))
     n = fa**2 * fb
-    return n.exact_div(n.gcd(factor(64)))
+    return n.exact_div(n.gcd(_N_64))
 
 
 def invariants(family: FreyFamily, a: int, b: int, c: int) -> CurveInvariants:

@@ -41,19 +41,64 @@ def test_factor_reconstruction_exhaustive_small():
         assert factor(n).value() == n
 
 
+def _spf_table(limit: int) -> list[int]:
+    # Smallest prime factor of every n <= limit: the reference factorizer.
+    spf = list(range(limit + 1))
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == p:
+            for m in range(p * p, limit + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    return spf
+
+
+def _items_from_spf(n: int, spf: list[int]) -> tuple[tuple[int, int], ...]:
+    out: dict[int, int] = {}
+    while n > 1:
+        p = spf[n]
+        out[p] = out.get(p, 0) + 1
+        n //= p
+    return tuple(sorted(out.items()))
+
+
 @pytest.mark.slow
 def test_factor_reconstruction_exhaustive_to_a_million():
-    for n in range(1, 10**6 + 1):
-        assert factor(n).value() == n
+    limit = 10**6
+    spf = _spf_table(limit)
+    for n in range(1, limit + 1):
+        assert factor(n).items() == _items_from_spf(n, spf), n
 
 
 def test_factor_reconstruction_random():
+    import sympy  # test oracle only; gfekit itself does not depend on it
+
     rng = random.Random(7)
-    for _ in range(300):
-        n = rng.randrange(1, 10**12)
-        f = factor(n)
-        assert f.value() == n
-        assert all(is_prime(p) for p in f.primes())
+    for bound, count in ((10**12, 300), (10**18, 100)):
+        for _ in range(count):
+            n = rng.randrange(1, bound)
+            assert factor(n).factors == sympy.factorint(n), n
+
+
+@pytest.mark.parametrize("factors", [
+    {997: 1, 1009: 1},                    # straddles the trial bound
+    {1009: 2},                            # first prime square past it
+    {999983: 1, 1000003: 1},              # straddles the 10^6 sieve
+    {10**12 + 39: 1},                     # prime cofactor past 10^12
+    {1000003: 3},                         # perfect power of a large prime
+    {3: 1, 11: 1, 17: 1, 1009: 1, 1013: 1},  # 561 * 1009 * 1013
+    {2: 3, 7: 1, 1000003: 4},             # p^k * m with p past the bound
+])
+def test_factor_boundary_cases(factors):
+    n = math.prod(p**e for p, e in factors.items())
+    assert factor(n).factors == factors
+
+
+def test_factor_map_does_not_depend_on_seed():
+    rng = random.Random(5)
+    samples = [999983 * 1000003, 1009**2 * 1013, 1000003**3 * 1009]
+    samples += [rng.randrange(10**12, 10**18) for _ in range(50)]
+    for n in samples:
+        assert factor(n, seed=0).items() == factor(n, seed=1).items(), n
 
 
 def test_radical_examples():

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -123,5 +124,45 @@ def test_checkpoint_integrity(tmp_path):
     assert '"box_size":' in tampered[1]
     tampered[1] = tampered[1].replace('"box_size":', '"box_size":9', 1)
     ckpt.write_text("\n".join(tampered) + "\n")
+    with pytest.raises(CheckpointMismatch):
+        run_campaign(plan, checkpoint_path=str(ckpt))
+
+
+def three_box_plan() -> CampaignPlan:
+    return CampaignPlan("three-boxes", [
+        explicit_box_task(f"box-{i}", range(1, 20), 2, range(1, 20), 3, {9})
+        for i in range(3)
+    ])
+
+
+def test_checkpoint_torn_at_every_byte_of_last_task_line(tmp_path):
+    plan = three_box_plan()
+    full = tmp_path / "full.ckpt"
+    expected = run_campaign(plan, checkpoint_path=str(full)).report_hash()
+    data = full.read_bytes()
+    lines = data.splitlines(keepends=True)
+    assert b'"task_id":"box-2"' in lines[3] and b'"integrity"' in lines[4]
+    start = len(b"".join(lines[:3]))
+    end = start + len(lines[3])
+    ckpt = tmp_path / "cut.ckpt"
+    for cut in range(start, end + 1):
+        ckpt.write_bytes(data[:cut])
+        torn = cut not in (start, end)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = run_campaign(plan, checkpoint_path=str(ckpt))
+        assert report.report_hash() == expected, cut
+        assert any("torn" in str(w.message) for w in caught) == torn, cut
+        # the resumed checkpoint is whole: a second resume reads it cleanly
+        assert run_campaign(plan, checkpoint_path=str(ckpt)).report_hash() == expected
+
+
+def test_checkpoint_corrupt_inner_line_is_mismatch(tmp_path):
+    plan = three_box_plan()
+    ckpt = tmp_path / "run.ckpt"
+    run_campaign(plan, checkpoint_path=str(ckpt))
+    lines = ckpt.read_text().splitlines()
+    lines[2] = lines[2][: len(lines[2]) // 2]
+    ckpt.write_text("\n".join(lines) + "\n")
     with pytest.raises(CheckpointMismatch):
         run_campaign(plan, checkpoint_path=str(ckpt))

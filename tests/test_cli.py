@@ -117,3 +117,18 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
     code, _, err = run(capsys, "search", "/nonexistent/plan.json")
     assert code == 2
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({"schema_version": 2}),
+    json.dumps({"schema_version": 1, "vol_tables": [
+        {"family": "GENERAL_ABC", "kind": 1, "value": "0.25"}]}),  # no "l"
+    '{"schema_version": 1,',
+])
+def test_malformed_config_is_config_error(capsys, tmp_path, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    code, _, err = run(capsys, "--config", str(path), "bounds", "general",
+                       "5", "7", "11", "--set", "11", "13")
+    assert code == 2
+    assert err.startswith("configuration error:")
