@@ -229,6 +229,25 @@ def _read_checkpoint(path: str, plan_hash: str) -> dict[str, dict]:
     return done
 
 
+def _seal_checkpoint(path: str) -> None:
+    """End the checkpoint with one integrity line over all lines above it.
+
+    Trailers of earlier runs are dropped, so a resumed checkpoint still
+    holds exactly one. The sealed file is written beside the old one and
+    renamed over it, so a crash leaves either the old or the new file.
+    """
+    with open(path) as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    body = [ln for ln in lines if "integrity" not in json.loads(ln)]
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        fh.writelines(ln + "\n" for ln in body)
+        fh.write(_canonical({"integrity": _sha("\n".join(body))}) + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
 def _shards_of(tasks: list[Task], shards: int) -> list[list[Task]]:
     buckets: list[list[Task]] = [[] for _ in range(shards)]
     for i, t in enumerate(tasks):
@@ -288,11 +307,7 @@ def run_campaign(
         if ckpt:
             ckpt.close()
     if checkpoint_path:
-        with open(checkpoint_path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-        body = [ln for ln in lines if "integrity" not in json.loads(ln)]
-        with open(checkpoint_path, "a") as fh:
-            fh.write(_canonical({"integrity": _sha("\n".join(body))}) + "\n")
+        _seal_checkpoint(checkpoint_path)
 
     ordered = [outcomes[t.task_id] for t in plan.tasks]
     return CampaignReport(

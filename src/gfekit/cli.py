@@ -39,8 +39,15 @@ _FAMILY_ALIASES = {
 
 
 class ConfigFileError(Exception):
-    """The tool configuration is malformed: unreadable JSON, an unsupported
-    schema_version, or an entry without a required key. Exits 2."""
+    """The tool configuration is malformed: unreadable JSON, a top level that
+    is not an object, an unsupported schema_version, a wrongly typed value,
+    or a vol_tables entry without a required key. Exits 2."""
+
+
+# Optional top-level config keys and their JSON types; null means absent.
+_CONFIG_TYPES = {"precision": (dict, "an object"), "vol_tables": (list, "an array"),
+                 "search_budget": (dict, "an object"), "registry_path": (str, "a string"),
+                 "output_path": (str, "a string")}
 
 
 def load_config(path: str | None) -> dict:
@@ -53,20 +60,33 @@ def load_config(path: str | None) -> dict:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigFileError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigFileError(f"{path}: the top level must be a JSON object")
     if cfg.get("schema_version") != 1:
         raise ConfigFileError(f"unsupported config schema {cfg.get('schema_version')!r}")
+    for key, (kind, name) in _CONFIG_TYPES.items():
+        if cfg.get(key) is not None and not isinstance(cfg[key], kind):
+            raise ConfigFileError(f"{key} must be {name}, got {cfg[key]!r}")
+    for section, keys in (("precision", ("initial", "max")),
+                          ("search_budget", ("max_tasks",))):
+        for key in keys:
+            value = (cfg.get(section) or {}).get(key, 0)
+            if type(value) is not int:
+                raise ConfigFileError(f"{section}.{key} must be an integer, got {value!r}")
     return cfg
 
 
 def vol_table_from_config(cfg: dict) -> VolTable:
     table = default_vol_table()
-    for i, entry in enumerate(cfg.get("vol_tables", [])):
+    for i, entry in enumerate(cfg.get("vol_tables") or []):
         try:
             key = (entry["family"], entry["kind"], entry["l"], entry.get("q"))
-            value = entry["value"]
+            value = Fraction(entry["value"])
         except KeyError as exc:
             raise ConfigFileError(f"vol_tables entry {i} has no key {exc}") from exc
-        table.set_raw(key, Fraction(value), entry.get("provenance", "user-supplied"))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigFileError(f"vol_tables entry {i} is malformed: {exc}") from exc
+        table.set_raw(key, value, entry.get("provenance", "user-supplied"))
     return table
 
 
@@ -183,7 +203,7 @@ def _cmd_profile(args) -> int:
 def _cmd_search(args) -> int:
     cfg = load_config(args.config)
     plan = CampaignPlan.load(args.planfile)
-    max_tasks = cfg.get("search_budget", {}).get("max_tasks")
+    max_tasks = (cfg.get("search_budget") or {}).get("max_tasks")
     if max_tasks is not None and len(plan.tasks) > max_tasks:
         raise ValueError(
             f"plan has {len(plan.tasks)} tasks, over the configured budget "

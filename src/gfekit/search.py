@@ -256,6 +256,48 @@ def _tail_record(x, r, y, s, ys_, pw, z, t) -> SolutionRecord | None:
 # ---------------------------------------------------------------------------
 # Small-z scan for the (2,3,t) family.
 
+# Pairwise-coprime moduli of the y-prefilter in small_z1_scan, each with a
+# 0/1 table of its square residues and the cube of every residue.
+_Y_SIEVE_MODULI = (64, 63, 65, 11, 17, 19)
+
+
+def _residue_tables(m: int) -> tuple[int, bytes, tuple[int, ...]]:
+    squares = bytearray(m)
+    for i in range(m):
+        squares[i * i % m] = 1
+    return m, bytes(squares), tuple(i**3 % m for i in range(m))
+
+
+_Y_SIEVE = tuple(_residue_tables(m) for m in _Y_SIEVE_MODULI)
+
+
+def _square_residue_ys(k: int, lo: int, hi: int, sign: int) -> list[int]:
+    """The y in [lo, hi] for which (sign*y)^3 + k is a square residue modulo
+    every modulus in _Y_SIEVE_MODULI, ascending.
+
+    This is necessary for (sign*y)^3 + k to be a square, so no y whose
+    value is a square is dropped. Per modulus the test depends on y mod m
+    only: one m-byte pattern, tiled over the range, and the tiles are ANDed
+    as integers, so the work per y runs in C.
+    """
+    n = hi - lo + 1
+    if n <= 0:
+        return []
+    mask = -1
+    for m, squares, cubes in _Y_SIEVE:
+        pattern = bytes(squares[(sign * cubes[(lo + j) % m] + k) % m]
+                        for j in range(m))
+        mask &= int.from_bytes((pattern * (n // m + 1))[:n], "big")
+    # Survivors are rare, so jump between them with find (memchr) rather than
+    # walk all n positions: the Python loop runs once per survivor.
+    flags = mask.to_bytes(n, "big")
+    out = []
+    j = flags.find(1)
+    while j >= 0:
+        out.append(lo + j)
+        j = flags.find(1, j + 1)
+    return out
+
 
 def small_z1_scan(
     z1_bound: int = 19,
@@ -272,6 +314,12 @@ def small_z1_scan(
     z = 1 target. The x^2 = y^3 +- z^t branches iterate y up to y_window
     (the scan is a bounded reproduction, not a completeness proof).
     Enlarging any bound can only grow the result set.
+
+    Each branch x^2 = (+-y)^3 + k first builds a residue mask over its
+    y-range: y survives only if (+-y)^3 + k is a square modulo each of
+    a few small coprime moduli, which every square is. Each survivor
+    coprime to z then gets the exact square test, and every record is
+    re-verified by exact integer arithmetic, so the mask drops no solution.
     """
     if z1_bound < 1 or t_max < t_min:
         raise ValueError("empty scan box")
@@ -292,14 +340,19 @@ def small_z1_scan(
         rec = _mk_record(x, 2, sx, y, 3, sy, z, t)
         out[(sx * x * x, sy * y**3, z**t)] = rec
 
+    def scan(z, t, branches):
+        # Each branch (k, lo, hi, sign, sx, sy) solves x^2 = (sign*y)^3 + k
+        # for lo <= y <= hi and emits sx*x^2 + sy*y^3 = z^t.
+        for k, lo, hi, sign, sx, sy in branches:
+            for y in _square_residue_ys(k, lo, hi, sign):
+                if math.gcd(y, z) == 1:
+                    x, exact = is_perfect_square(sign * y**3 + k)
+                    if exact:
+                        emit(x, sx, y, sy, z, t)
+
     # Degenerate target z^t = 1: x^2 - y^3 = +-1 within the window.
-    for y in range(2, min(y_window, 10**4) + 1):
-        y3 = y**3
-        for target, sx, sy in ((y3 + 1, 1, -1), (y3 - 1, -1, 1)):
-            x, exact = is_perfect_square(target)
-            if exact and x >= 1 and math.gcd(x, y) == 1:
-                if sx * x * x + sy * y3 == 1:
-                    emit(x, sx, y, sy, 1, t_min)
+    top = min(y_window, 10**4)
+    scan(1, t_min, ((1, 2, top, 1, 1, -1), (-1, 2, top, 1, -1, 1)))
 
     zs = [z for z in range(2, int(height_bound ** (1 / t_min)) + 2)
           if coprime6_part(z) < z1_bound]
@@ -308,24 +361,10 @@ def small_z1_scan(
             zt = z**t
             if zt > height_bound:
                 break
-            # x^2 + y^3 = z^t
-            y = 1
-            while y**3 <= zt:
-                if math.gcd(y, z) == 1:
-                    x, exact = is_perfect_square(zt - y**3)
-                    if exact and x >= 1:
-                        emit(x, 1, y, 1, z, t)
-                y += 1
-            # x^2 = z^t + y^3 and x^2 = y^3 - z^t
-            for y in range(1, y_window + 1):
-                if math.gcd(y, z) != 1:
-                    continue
-                y3 = y**3
-                x, exact = is_perfect_square(y3 + zt)
-                if exact:
-                    emit(x, 1, y, -1, z, t)   # x^2 - y^3 = z^t
-                if y3 > zt:
-                    x, exact = is_perfect_square(y3 - zt)
-                    if exact:
-                        emit(x, -1, y, 1, z, t)  # y^3 - x^2 = z^t
+            root = integer_nth_root(zt, 3)[0]
+            scan(z, t, (
+                (zt, 1, root, -1, 1, 1),              # x^2 + y^3 = z^t
+                (zt, 1, y_window, 1, 1, -1),          # x^2 - y^3 = z^t
+                (-zt, root + 1, y_window, 1, -1, 1),  # y^3 - x^2 = z^t
+            ))
     return [out[k] for k in sorted(out)]

@@ -7,10 +7,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from gfekit.arith import FactoredInteger, radical, k_full_part
 from gfekit.bounds import BoundConfig, make_config
 from gfekit.linlog import LinLog, log_atom, log_of_int
+
+# Property tests draw their examples from a seed derived from each test, so
+# every run replays the same examples and a failure reproduces as it was seen.
+settings.register_profile("replayable", derandomize=True)
+settings.load_profile("replayable")
 
 
 def _log_fact(n: FactoredInteger) -> LinLog:

@@ -157,6 +157,18 @@ def test_checkpoint_torn_at_every_byte_of_last_task_line(tmp_path):
         assert run_campaign(plan, checkpoint_path=str(ckpt)).report_hash() == expected
 
 
+def test_resumed_checkpoint_keeps_one_integrity_line(tmp_path):
+    plan = CampaignPlan("one-box", [
+        explicit_box_task("box-0", range(1, 20), 2, range(1, 20), 3, {9})])
+    ckpt = tmp_path / "run.ckpt"
+    hashes = {run_campaign(plan, checkpoint_path=str(ckpt)).report_hash()
+              for _ in range(3)}
+    assert len(hashes) == 1
+    lines = ckpt.read_text().splitlines()
+    assert len(lines) == 3
+    assert [i for i, ln in enumerate(lines) if '"integrity"' in ln] == [2]
+
+
 def test_checkpoint_corrupt_inner_line_is_mismatch(tmp_path):
     plan = three_box_plan()
     ckpt = tmp_path / "run.ckpt"

@@ -124,6 +124,13 @@ def test_usage_error_exit_code(capsys):
     json.dumps({"schema_version": 1, "vol_tables": [
         {"family": "GENERAL_ABC", "kind": 1, "value": "0.25"}]}),  # no "l"
     '{"schema_version": 1,',
+    "[]",
+    json.dumps({"schema_version": 1, "precision": [128]}),
+    json.dumps({"schema_version": 1, "precision": {"initial": "x"}}),
+    json.dumps({"schema_version": 1, "vol_tables": [
+        {"family": "GENERAL_ABC", "kind": 1, "l": 11, "value": "abc"}]}),
+    json.dumps({"schema_version": 1, "search_budget": {"max_tasks": "3"}}),
+    json.dumps({"schema_version": 1, "registry_path": 5}),
 ])
 def test_malformed_config_is_config_error(capsys, tmp_path, text):
     path = tmp_path / "cfg.json"
@@ -132,3 +139,12 @@ def test_malformed_config_is_config_error(capsys, tmp_path, text):
                        "5", "7", "11", "--set", "11", "13")
     assert code == 2
     assert err.startswith("configuration error:")
+
+
+def test_null_config_keys_count_as_absent(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema_version": 1, **dict.fromkeys(
+        ("precision", "vol_tables", "search_budget", "registry_path", "output_path"))}))
+    code, _, err = run(capsys, "--config", str(path), "bounds", "general",
+                       "5", "7", "11", "--set", "11", "13")
+    assert code == 1 and "Vol constant not configured" in err

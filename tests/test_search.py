@@ -3,11 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gfekit.arith import integer_nth_root
 from gfekit.search import (
     Decomposition,
     SolutionRecord,
+    _square_residue_ys,
     check_pair,
     check_power_tail,
     enumerate_candidates,
@@ -161,3 +163,92 @@ def test_small_z1_scan_monotone():
     small_vals = {(r.sign_r * r.x**2, r.sign_s * r.y**3, r.z**r.t) for r in small}
     large_vals = {(r.sign_r * r.x**2, r.sign_s * r.y**3, r.z**r.t) for r in large}
     assert small_vals <= large_vals
+
+
+def _exact_sqrt(n: int) -> int | None:
+    if n < 0:
+        return None
+    r = math.isqrt(n)
+    return r if r * r == n else None
+
+
+def brute_small_z1_scan(z1_bound, t_max, height_bound, y_window, t_min=7):
+    """small_z1_scan's box, every y tried with a plain isqrt and no residue
+    filter: {(sign_r x^2, sign_s y^3, z^t): identity}, later (z, t) winning
+    a repeated key as in the scan."""
+    out = {}
+
+    def emit(x, sx, y, sy, z, t):
+        if x >= 1 and math.gcd(x, y) == math.gcd(x, z) == math.gcd(y, z) == 1:
+            rec = SolutionRecord(x=x, y=y, z=z, r=2, s=3, t=t, sign_r=sx, sign_s=sy)
+            assert rec.verify()
+            out[(sx * x * x, sy * y**3, z**t)] = rec.identity()
+
+    for y in range(2, min(y_window, 10**4) + 1):
+        for k, sx, sy in ((1, 1, -1), (-1, -1, 1)):
+            x = _exact_sqrt(y**3 + k)
+            if x is not None:
+                emit(x, sx, y, sy, 1, t_min)
+    for z in range(2, int(height_bound ** (1 / t_min)) + 2):
+        odd6 = z
+        while odd6 % 2 == 0:
+            odd6 //= 2
+        while odd6 % 3 == 0:
+            odd6 //= 3
+        if odd6 >= z1_bound:
+            continue
+        for t in range(t_min, t_max + 1):
+            zt = z**t
+            if zt > height_bound:
+                break
+            y = 1
+            while y**3 <= zt:
+                x = _exact_sqrt(zt - y**3)
+                if x is not None:
+                    emit(x, 1, y, 1, z, t)
+                y += 1
+            for y in range(1, y_window + 1):
+                x = _exact_sqrt(y**3 + zt)
+                if x is not None:
+                    emit(x, 1, y, -1, z, t)
+                x = _exact_sqrt(y**3 - zt)
+                if x is not None:
+                    emit(x, -1, y, 1, z, t)
+    return out
+
+
+@pytest.mark.parametrize("box", [
+    # y_window a multiple of none of the moduli 64, 63, 65, 11, 17, 19
+    dict(z1_bound=19, t_max=9, height_bound=10**7, y_window=997),
+    dict(z1_bound=12, t_max=6, height_bound=10**6, y_window=1201, t_min=3),
+    # y_window below the cube root of most z^t: their y^3 - z^t branch is empty
+    dict(z1_bound=8, t_max=9, height_bound=10**8, y_window=40, t_min=5),
+    # z^t a cube (2^9 = 8^3, and every t = 9, 6, 3), the cube root itself a y
+    dict(z1_bound=5, t_max=9, height_bound=2**9, y_window=300, t_min=3),
+    dict(z1_bound=2, t_max=9, height_bound=10**9, y_window=600, t_min=9),
+])
+def test_small_z1_scan_equals_brute_force(box):
+    expected = brute_small_z1_scan(**box)
+    got = {(r.sign_r * r.x**2, r.sign_s * r.y**3, r.z**r.t): r.identity()
+           for r in small_z1_scan(**box)}
+    assert got == expected
+    assert expected  # the box has solutions to lose
+
+
+@given(st.integers(min_value=0, max_value=10**9),
+       st.integers(min_value=1, max_value=10**5),
+       st.sampled_from((1, -1)),
+       st.integers(min_value=0, max_value=300),
+       st.integers(min_value=0, max_value=300),
+       st.integers(min_value=-10**12, max_value=10**12))
+def test_square_residue_ys_keeps_every_square(x, y0, sign, below, above, shift):
+    # k plants the square x^2 at y0; a shifted k tries an arbitrary one
+    lo, hi = max(1, y0 - below), y0 + above
+    for k in (x * x - (sign * y0) ** 3, x * x - (sign * y0) ** 3 + shift):
+        kept = _square_residue_ys(k, lo, hi, sign)
+        assert kept == sorted(set(kept)) and all(lo <= y <= hi for y in kept)
+        squares = [y for y in range(lo, hi + 1)
+                   if _exact_sqrt((sign * y) ** 3 + k) is not None]
+        assert set(squares) <= set(kept)
+    assert y0 in _square_residue_ys(x * x - (sign * y0) ** 3, lo, hi, sign)
+    assert _square_residue_ys(0, hi + 1, hi, sign) == []
