@@ -8,11 +8,14 @@ record re-verifies by exact integer arithmetic.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .arith import integer_nth_root, is_perfect_square, k_full_part, factor
+from .arith import (factor, integer_nth_root, is_perfect_square, k_full_part,
+                    small_primes)
 from .linlog import LinLog
 from .structure import VariableProfile
 
@@ -145,16 +148,108 @@ def _smooth_values(profile: VariableProfile, l: int, limit: int | None) -> list[
     return vals
 
 
-def _roots_of(value: int, exponents) -> list[tuple[int, int]]:
-    """(base, exponent) pairs with base^exponent == value, exponent in set."""
-    if value <= 0:
-        return []
+# Primes below this bound give the coprimality masks of check_pair and the
+# moduli of the power-residue tables; a table's modulus stays at most the cap.
+_SIEVE_PRIME_BOUND = 1000
+_RESIDUE_MODULUS_CAP = 2**16
+
+
+@lru_cache(maxsize=None)
+def _sieve_primes() -> tuple[tuple[int, ...], int]:
+    """The primes below _SIEVE_PRIME_BOUND, and their product."""
+    primes = small_primes()
+    below = tuple(primes[:bisect.bisect_left(primes, _SIEVE_PRIME_BOUND)])
+    return below, math.prod(below)
+
+
+@lru_cache(maxsize=None)
+def _power_residues(t: int) -> tuple[int, bytes]:
+    """(m, table) with table[v % m] == 0 only if v is not a t-th power.
+
+    m is the product of the primes q < _SIEVE_PRIME_BOUND with q = 1 (mod t),
+    taken in increasing order while m stays at most _RESIDUE_MODULUS_CAP;
+    such a q has only (q - 1)/t + 1 t-th power residues. table[j] is 1
+    exactly when j is a t-th power modulo every such q. With no such q,
+    m = 1 and the table rejects nothing.
+    """
+    m, qs = 1, []
+    for q in _sieve_primes()[0]:
+        if q % t == 1:
+            if m * q > _RESIDUE_MODULUS_CAP:
+                break
+            m *= q
+            qs.append(q)
+    mask = int.from_bytes(b"\x01" * m, "big")
+    for q in qs:
+        pattern = bytearray(q)
+        for i in range(q):
+            pattern[pow(i, t, q)] = 1
+        mask &= int.from_bytes(bytes(pattern) * (m // q), "big")
+    return m, mask.to_bytes(m, "big")
+
+
+def _root_sieves(exponents) -> list[tuple[int, int, bytes]]:
+    """(t, m, table) for each distinct exponent, ascending."""
+    ts = sorted(set(exponents))
+    if ts and ts[0] < 2:
+        raise ValueError(f"root exponents must be >= 2, got {ts[0]}")
+    return [(t, *_power_residues(t)) for t in ts]
+
+
+def _sieved_roots(value: int, sieves) -> list[tuple[int, int]]:
+    """(root, t) with root^t == value, for each (t, m, table) in sieves.
+
+    value >= 1. The residue table only rejects: a t it admits still gets the
+    exact integer_nth_root.
+    """
     out = []
-    for t in sorted(set(exponents)):
-        root, exact = integer_nth_root(value, t)
-        if exact:
-            out.append((root, t))
+    for t, m, table in sieves:
+        if table[value % m]:
+            root, exact = integer_nth_root(value, t)
+            if exact:
+                out.append((root, t))
     return out
+
+
+def _candidate_values(candidates) -> list[int]:
+    """Plain values of ints or (value, Decomposition) pairs, each >= 1."""
+    vals = [c[0] if isinstance(c, tuple) else c for c in candidates]
+    if vals and min(vals) < 1:
+        raise ValueError(f"candidates must be >= 1, got {min(vals)}")
+    return vals
+
+
+def _support_masks(xs: list[int], ys: list[int]) -> tuple[list[int], list[int]]:
+    """Coprimality masks of both lists: x and y are coprime if their masks
+    share no bit, and share a prime if they share a bit other than bit 0.
+
+    Bits from 1 up mark the primes below _SIEVE_PRIME_BOUND that divide some
+    x and some y. One gcd of each list's product with their primorial finds
+    the small primes of that list, so a value's small primes come from a gcd
+    with a small number. Bit 0 marks a cofactor > 1 left after those primes
+    are stripped: v has one exactly when v does not divide g^bits(v), g the
+    product of its small primes. Two values that both have bit 0 need
+    math.gcd to decide.
+    """
+    primes, primorial = _sieve_primes()
+    kx = math.gcd(math.prod(xs), primorial)
+    ky = math.gcd(math.prod(ys), primorial)
+    shared = math.gcd(kx, ky)
+    bits = [(1 << i, p) for i, p in enumerate(
+        (p for p in primes if shared % p == 0), 1)]
+    memo: dict[int, int] = {}  # small-prime kernel -> its prime bits
+
+    def masks(values: list[int], kernel: int) -> list[int]:
+        out = []
+        for v in values:
+            g = math.gcd(v, kernel)
+            k = memo.get(g)
+            if k is None:
+                k = memo[g] = sum(bit for bit, p in bits if g % p == 0)
+            out.append(k | (pow(g, v.bit_length(), v) != 0))
+        return out
+
+    return masks(xs, kx), masks(ys, ky)
 
 
 def check_pair(
@@ -168,28 +263,44 @@ def check_pair(
 ) -> list[SolutionRecord]:
     """Check |x^r +- y^s| = z^t over two candidate lists, exactly.
 
-    Candidates may be plain ints or (value, Decomposition) pairs. Records
-    are normalized to sign_r * x^r + sign_s * y^s = z^t with positive
-    x, y, z; roots z = 1 are dropped unless allow_unit_root (they belong to
-    the unit-difference family, not to the search target).
+    Candidates may be plain ints or (value, Decomposition) pairs, each
+    >= 1 (ValueError otherwise). Records are normalized to
+    sign_r * x^r + sign_s * y^s = z^t with positive x, y, z; roots z = 1 are
+    dropped unless allow_unit_root (they belong to the unit-difference
+    family, not to the search target).
+
+    Two filters run before any exact work, and both only reject. Each x
+    meets only the ys whose prime-support mask (see _support_masks) shares
+    no small prime with its own, a list built once per distinct x mask;
+    math.gcd decides only pairs where both values keep a cofactor above the
+    mask's primes. Each value |x^r +- y^s| of a coprime pair then meets, per t, a
+    table of t-th power residues modulo a product of small primes
+    q = 1 (mod t); a value that is not a t-th power residue is no t-th power.
+    Every survivor gets the exact integer_nth_root, the gcd checks against
+    z and the record's exact re-verification.
     """
-    xs = [c[0] if isinstance(c, tuple) else c for c in x_candidates]
-    ys = [c[0] if isinstance(c, tuple) else c for c in y_candidates]
-    t_set = tuple(sorted(set(t_set)))
+    xs = _candidate_values(x_candidates)
+    ys = _candidate_values(y_candidates)
+    sieves = _root_sieves(t_set)
+    x_masks, y_masks = _support_masks(xs, ys)
+    y_pows = [(y, y**s, my) for y, my in zip(ys, y_masks)]
+    # The ys each x mask may be coprime to, grouped once per mask, each with
+    # a flag for the pairs that only math.gcd can decide (both keep bit 0).
+    partners: dict[int, list[tuple[int, int, int]]] = {}
     found: dict[tuple, SolutionRecord] = {}
-    for x in xs:
+    for x, mx in zip(xs, x_masks):
+        if mx not in partners:
+            partners[mx] = [(y, ys_, mx & my) for y, ys_, my in y_pows if mx & my <= 1]
         xr = x**r
-        for y in ys:
-            if math.gcd(x, y) != 1:
+        for y, ys_, undecided in partners[mx]:
+            if undecided and math.gcd(x, y) != 1:
                 continue
-            ys_ = y**s
-            total = xr + ys_
             diff = xr - ys_
-            for value, sx, sy in ((total, 1, 1), (abs(diff), 1, -1) if diff >= 0
-                                  else (abs(diff), -1, 1)):
+            for value, sx, sy in ((xr + ys_, 1, 1), (diff, 1, -1) if diff >= 0
+                                  else (-diff, -1, 1)):
                 if value == 0:
                     continue
-                for z, t in _roots_of(value, t_set):
+                for z, t in _sieved_roots(value, sieves):
                     if z == 1 and not allow_unit_root:
                         continue
                     if math.gcd(x, z) != 1 or math.gcd(y, z) != 1:
@@ -212,30 +323,33 @@ def check_power_tail(
     This is the branch where the third coordinate is forced to be a pure
     power of two: z^t = 2^m with m in the published window. Exponents for
     the root side come from r_set; records store z = 2^(m/t) resolved over
-    every admissible split t | m with t >= m_bounds[0].
+    every admissible split t | m with t >= m_bounds[0]. Candidates are
+    >= 1 (ValueError otherwise); even ones share the factor 2 with z and
+    are skipped.
+
+    Each value |y^s +- 2^m| first meets, per r, the table of r-th power
+    residues that check_pair uses, which only rejects; every survivor gets
+    the exact integer_nth_root and the record's exact re-verification.
     """
     lo, hi = m_bounds
-    ys = [c[0] if isinstance(c, tuple) else c for c in y_candidates]
+    ys = _candidate_values(y_candidates)
+    sieves = _root_sieves(r_set)
+    odd = [(y, y**s) for y in ys if y % 2]
     out: dict[tuple, SolutionRecord] = {}
     for m in m_range:
         if not lo <= m <= hi:
             raise ValueError(f"2-power exponent {m} outside window [{lo},{hi}]")
         pw = 2**m
-        for y in ys:
-            if y % 2 == 0:
-                continue
-            ys_ = y**s
-            for value, sy in ((ys_ + pw, 1), (abs(ys_ - pw), 1 if ys_ > pw else -1)):
+        splits = [t for t in range(lo, m + 1) if m % t == 0]
+        for y, ys_ in odd:
+            for value in (ys_ + pw, abs(ys_ - pw)):
                 if value == 0:
                     continue
-                for x, r in _roots_of(value, r_set):
+                for x, r in _sieved_roots(value, sieves):
                     if x % 2 == 0 or x == 1:
                         continue
-                    for t in range(lo, m + 1):
-                        if m % t:
-                            continue
-                        z = 2 ** (m // t)
-                        rec = _tail_record(x, r, y, s, ys_, pw, z, t)
+                    for t in splits:
+                        rec = _tail_record(x, r, y, s, ys_, pw, 2 ** (m // t), t)
                         if rec is not None:
                             out[rec.sort_key()] = rec
     return [out[k] for k in sorted(out)]

@@ -10,6 +10,7 @@ certified (exact rationals against rational multiples of prime logs).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -413,7 +414,8 @@ def _twothree_z6_possible(t: int) -> bool:
                    default=None)
     if prime_cap is None or size_cap is None:
         return True
-    allowed = [p for p in small_primes() if 5 <= p <= prime_cap]
+    primes = small_primes()
+    allowed = [p for p in primes[:bisect.bisect_right(primes, prime_cap)] if p >= 5]
     values, frontier = {1}, [1]
     while frontier:
         v = frontier.pop()

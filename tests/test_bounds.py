@@ -21,6 +21,7 @@ from gfekit.linlog import (
     PrecisionExhausted,
     get_precision,
     log_atom,
+    log_bounds,
     set_precision,
 )
 from gfekit.ramification import VolNotConfigured, VolTable, default_vol_table
@@ -225,3 +226,38 @@ def test_certificate_propagates_precision_exhaustion():
             certificate(cfg, res)
     finally:
         set_precision(*saved)
+
+
+def test_large_vol_general_b_scenario_is_excluded():
+    # general (5,7,11), situation b, S = (29, 31, 37, 41), Vol 1125 at every
+    # prime: b1 = 0.8365 and b2 = 6852.3 put b2/(1 - b1) at 41,903.6, below
+    # the ceiling 66,526 log 2 = 46,112.3, so an interval is excluded even
+    # though every Vol is above 1000.
+    s_primes, vol = (29, 31, 37, 41), Fraction(1125)
+    table = VolTable()
+    for l in s_primes:
+        table.set_raw(("GENERAL_ABC", 1, l, None), vol, "large Vol")
+    cfg = scenario("general", (5, 7, 11), "b", s_primes=s_primes, k=3, tables=table)
+    res = forbidden_interval(cfg)
+    assert res.applicable
+    assert certificate(cfg, res)["verdict"] == "excluded-interval"
+
+    # Re-decide it from the constants' definitions, with Fractions and the
+    # certified rational enclosures of log_bounds instead of LinLog signs.
+    n, lam = len(s_primes), Fraction(6)
+    a1 = lam / n * sum(default_profile(l, 3)[0] for l in s_primes)
+    a4 = lam * min(default_profile(l, 3)[1] for l in s_primes)
+    assert (cfg.n0, cfg.u0, cfg.p_n, cfg.s1, cfg.n1_s, cfg.nk_s) == \
+        (2**8, 8, 2, frozenset({2}), 58, 66526)
+    b1 = max(a1 / 8, Fraction(3, n) + (a1 - a4) / 58)
+    assert b1 == derived_constants(cfg).b1 and 0 < b1 < 1 and a1 >= a4
+    # b2 = (a1/u0) log n0 + a2 + a1 a3 + (a1 - a4) a5 with log n0 = 8 log 2,
+    # a2 = (lam/n) * (sum of Vol), a3 = sum of log l and a5 = log 2. Every
+    # log has a positive coefficient, so the upper ends bound b2 above.
+    hi = {p: log_bounds(p)[1] for p in (2,) + s_primes}
+    b2_hi = (a1 / 8 * 8 * hi[2] + lam / n * n * vol
+             + a1 * sum(hi[l] for l in s_primes) + (a1 - a4) * hi[2])
+    threshold_hi = b2_hi / (1 - b1)
+    ceiling_lo = 66526 * log_bounds(2)[0]
+    assert 41903 < threshold_hi < 41904 < 46112 < ceiling_lo < 46113
+    assert abs(float(res.interval[0]) - float(threshold_hi)) < 1e-3

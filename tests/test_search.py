@@ -5,11 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from gfekit.arith import integer_nth_root
+from gfekit.arith import factor, integer_nth_root
+from gfekit.campaign import _expand_spec, build_p3_plan
 from gfekit.search import (
     Decomposition,
     SolutionRecord,
+    _power_residues,
     _square_residue_ys,
+    _support_masks,
     check_pair,
     check_power_tail,
     enumerate_candidates,
@@ -64,7 +67,7 @@ def test_enumerate_requires_finiteness():
     assert enumerate_candidates(prof, 11, smooth_limit=3)
 
 
-def naive_box_check(xs, r, ys, s, t_set):
+def naive_box_check(xs, r, ys, s, t_set, *, unit_root=False):
     found = set()
     for x in xs:
         for y in ys:
@@ -77,7 +80,7 @@ def naive_box_check(xs, r, ys, s, t_set):
                     continue
                 for t in t_set:
                     root, exact = integer_nth_root(value, t)
-                    if exact and root > 1 and math.gcd(x, root) == 1 \
+                    if exact and (root > 1 or unit_root) and math.gcd(x, root) == 1 \
                             and math.gcd(y, root) == 1:
                         found.add((x, r, sx, y, s, sy, root, t))
     return found
@@ -141,6 +144,163 @@ def test_check_power_tail_finds_planted_power():
     for rec in recs:
         assert rec.verify()
         assert rec.z == 2 ** (rec.z.bit_length() - 1)  # z is a 2-power
+
+
+def _records(recs):
+    return {(rec.x, rec.r, rec.sign_r, rec.y, rec.s, rec.sign_s, rec.z, rec.t)
+            for rec in recs}
+
+
+@pytest.mark.parametrize("xs, ys", [
+    ([0], [1, 3]),
+    ([-5, 2], [1, 3]),
+    ([2, 3], [1, 0]),
+    ([(0, None)], [1]),
+])
+def test_check_pair_rejects_nonpositive_candidates(xs, ys):
+    with pytest.raises(ValueError):
+        check_pair(xs, 2, ys, 3, {2, 3}, allow_unit_root=True)
+
+
+@pytest.mark.parametrize("ys", [[0], [3, -1], [(0, None)]])
+def test_check_power_tail_rejects_nonpositive_candidates(ys):
+    with pytest.raises(ValueError):
+        check_power_tail(ys, 5, {4}, range(70, 75))
+
+
+def test_root_exponents_below_two_are_rejected():
+    with pytest.raises(ValueError):
+        check_pair([2], 2, [3], 3, {1, 2})
+    with pytest.raises(ValueError):
+        check_power_tail([3], 3, {0}, range(70, 71))
+
+
+# Candidates with prime factors >= 1000, which only the gcd fallback of the
+# coprimality masks can decide: 1009*2 and 1009*3 share only 1009, and the
+# legs of 8072^2 + 1018065^2 = 1018097^2 (2^3*1009 and 3*5*67*1013) share none.
+_LARGE_PRIME_BOX = ([1009 * k for k in range(1, 40)] + list(range(1, 40))
+                    + [1013 * 1009, 1013 * 3, 1013**2, 1009**2 * 7, 8072, 1018065])
+
+
+@pytest.mark.parametrize("r, s, t_set", [
+    (2, 2, {2, 4}),          # even t: 7^2 + 24^2 = 5^4 and Pythagorean triples
+    (2, 3, {2, 3, 9}),
+    (3, 2, {5, 6, 7}),
+])
+def test_check_pair_equals_naive_with_large_primes(r, s, t_set):
+    xs = ys = _LARGE_PRIME_BOX
+    expected = naive_box_check(xs, r, ys, s, t_set)
+    assert _records(check_pair(xs, r, ys, s, t_set)) == expected
+    assert expected
+    if t_set == {2, 4}:
+        assert (8072, 2, 1, 1018065, 2, 1, 1018097, 2) in expected
+
+
+@pytest.mark.parametrize("xs, ys", [
+    (_LARGE_PRIME_BOX, _LARGE_PRIME_BOX),
+    (_LARGE_PRIME_BOX[::3] + [2 * 997], [3 * 5 * 7 * 997, 1, 2, 8072, 1018065, 1009 * 1013]),
+    ([1], [1]),
+])
+def test_support_masks_decide_coprimality(xs, ys):
+    # Disjoint masks mean coprime; a shared bit other than bit 0 means a
+    # shared prime; only a shared bit 0 alone is left to math.gcd.
+    x_masks, y_masks = _support_masks(xs, ys)
+    for x, mx in zip(xs, x_masks):
+        for y, my in zip(ys, y_masks):
+            g = math.gcd(x, y)
+            if mx & my == 0:
+                assert g == 1, (x, y)
+            elif mx & my > 1:
+                assert g > 1, (x, y)
+            else:
+                assert all(p >= 1000 for p, _ in factor(g).items()), (x, y)
+
+
+def test_check_pair_equals_naive_when_t_has_no_residue_prime():
+    # No prime q < 1000 has q = 1 (mod 997): the table is trivial and every
+    # coprime value goes to the exact root. 3^2 - 2^3 = 1^997 is the only
+    # record, and it needs the unit root.
+    assert _power_residues(997) == (1, b"\x01")
+    box = list(range(1, 30))
+    got = _records(check_pair(box, 2, box, 3, {997, 2}, allow_unit_root=True))
+    assert got == naive_box_check(box, 2, box, 3, {997, 2}, unit_root=True)
+    assert (3, 2, 1, 2, 3, -1, 1, 997) in got
+    assert _records(check_pair(box, 2, box, 3, {997})) == set()
+
+
+@pytest.mark.parametrize("r, s, t_set", [
+    (2, 3, {2, 3}), (2, 2, {2, 3, 4}), (4, 5, {2, 3}), (2, 5, {2, 3, 7}),
+])
+def test_check_pair_equals_naive_on_plan_shaped_box(r, s, t_set):
+    # values 2^a 3^b 7^c, as a campaign spec expands them
+    vals = _expand_spec({"smooth": 1, "l": 7, "e2_cap": 6, "e3_cap": 6,
+                         "el_cap": 2, "lparts": [1]})
+    expected = naive_box_check(vals, r, vals, s, t_set)
+    assert expected
+    assert _records(check_pair(vals, r, vals, s, t_set)) == expected
+
+
+def test_check_pair_equals_naive_on_a_p3_task():
+    params = build_p3_plan(4, 5, 5, box_limit=20).tasks[0].params
+    xs, ys = _expand_spec(params["a"]), _expand_spec(params["b"])
+    got = _records(check_pair(xs, params["r"], ys, params["s"], params["t_set"]))
+    assert got == naive_box_check(xs, params["r"], ys, params["s"], params["t_set"])
+
+
+def brute_power_tail(ys, s, r_set, m_range, m_bounds):
+    """check_power_tail's records by trying every sign pattern of every
+    (y, m, r, t) with z = 2^(m/t), without residue tables."""
+    lo, _ = m_bounds
+    found = set()
+    for y in ys:
+        if y % 2 == 0:
+            continue
+        for m in m_range:
+            for value in (y**s + 2**m, abs(y**s - 2**m)):
+                for r in r_set:
+                    if value == 0:
+                        continue
+                    x, exact = integer_nth_root(value, r)
+                    if not exact or x % 2 == 0 or x == 1:
+                        continue
+                    for t in range(lo, m + 1):
+                        if m % t:
+                            continue
+                        for sx in (1, -1):
+                            for sy in (1, -1):
+                                rec = SolutionRecord(x, y, 2 ** (m // t), r, s, t, sx, sy)
+                                if rec.verify():
+                                    found.add((x, r, sx, y, s, sy, rec.z, t))
+    return found
+
+
+@pytest.mark.parametrize("s, r_set", [(3, {2}), (2, {3, 5, 7}), (5, {2, 4}), (4, {2, 3})])
+def test_check_power_tail_equals_brute_force(s, r_set):
+    ys, m_bounds = range(1, 200), (3, 24)
+    m_range = range(m_bounds[0], m_bounds[1] + 1)
+    expected = brute_power_tail(ys, s, r_set, m_range, m_bounds)
+    got = _records(check_power_tail(ys, s, r_set, m_range, m_bounds=m_bounds))
+    assert got == expected
+    assert expected  # the window has solutions to lose
+    if s == 3:
+        assert (71, 2, 1, 17, 3, -1, 2, 7) in got   # 71^2 - 17^3 = 2^7
+
+
+@pytest.mark.parametrize("t, m", [(2, 3 * 5 * 7 * 11 * 13), (3, 7 * 13 * 19 * 31),
+                                  (4, 5 * 13 * 17 * 29), (5, 11 * 31 * 41),
+                                  (7, 29 * 43), (1, 1), (997, 1)])
+def test_power_residue_modulus_and_table(t, m):
+    got_m, table = _power_residues(t)
+    assert got_m == m and len(table) == m
+    qs = [q for q in range(2, 1000) if m % q == 0 and all(q % d for d in range(2, q))]
+    powers = {q: {pow(i, t, q) for i in range(q)} for q in qs}
+    assert list(table) == [int(all(j % q in powers[q] for q in qs)) for j in range(m)]
+
+
+@given(st.integers(min_value=1, max_value=10**30), st.integers(min_value=2, max_value=40))
+def test_power_residue_table_keeps_every_power(v, t):
+    m, table = _power_residues(t)
+    assert table[pow(v, t, m)]
 
 
 def test_small_z1_scan_reduced_boxes():
