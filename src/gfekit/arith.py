@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from functools import lru_cache
 
 __all__ = [
     "FactorizationBudgetExceeded",
@@ -26,7 +26,6 @@ __all__ = [
     "small_primes",
 ]
 
-_TRIAL_LIMIT = 10**6
 # factor() trial-divides by the primes up to this bound only. A cofactor left
 # below its square has no prime factor up to the bound, so it is prime.
 _TRIAL_BOUND = 1000
@@ -46,24 +45,15 @@ class FactorizationBudgetExceeded(RuntimeError):
     """
 
 
-def _sieve(limit: int) -> list[int]:
+@lru_cache(maxsize=None)
+def small_primes(limit: int = _TRIAL_BOUND) -> tuple[int, ...]:
+    """The primes <= limit, sieved once per limit and cached."""
     flags = bytearray([1]) * (limit + 1)
     flags[0:2] = b"\x00\x00"
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return [i for i, f in enumerate(flags) if f]
-
-
-_SMALL_PRIMES: list[int] | None = None
-
-
-def small_primes() -> list[int]:
-    """Primes below 10^6, sieved once and cached."""
-    global _SMALL_PRIMES
-    if _SMALL_PRIMES is None:
-        _SMALL_PRIMES = _sieve(_TRIAL_LIMIT)
-    return _SMALL_PRIMES
+    return tuple(i for i, f in enumerate(flags) if f)
 
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.317e24.
@@ -163,8 +153,8 @@ def factor(n: int, *, budget: int = 50_000_000, seed: int | None = None) -> "Fac
     if n < 1:
         raise ValueError(f"factor() requires n >= 1, got {n}")
     factors: dict[int, int] = {}
-    for p in small_primes():
-        if p * p > n or p > _TRIAL_BOUND:
+    for p in small_primes(_TRIAL_BOUND):
+        if p * p > n:
             break
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
@@ -344,9 +334,7 @@ def is_perfect_power(n: int) -> tuple[int, int]:
     """Smallest base m with n = m^k, as (m, k); (n, 1) if n is not a power."""
     if n < 4:
         return n, 1
-    for t in small_primes():
-        if t > n.bit_length():
-            break
+    for t in small_primes(n.bit_length()):
         r, exact = integer_nth_root(n, t)
         if exact:
             m, k = is_perfect_power(r)
@@ -354,10 +342,10 @@ def is_perfect_power(n: int) -> tuple[int, int]:
     return n, 1
 
 
-def divisors(n: int) -> Iterator[int]:
+@lru_cache(maxsize=None)
+def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n, ascending."""
-    f = factor(n)
     out = [1]
-    for p, e in f.items():
+    for p, e in factor(n).items():
         out = [d * p**i for d in out for i in range(e + 1)]
-    yield from sorted(out)
+    return tuple(sorted(out))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .arith import is_prime
+from .arith import divisors, is_prime
 from .search import SolutionRecord
 
 __all__ = [
@@ -74,12 +74,7 @@ class SignatureStatus:
 
 
 def classify_chi(sig: Signature) -> ChiClass:
-    chi = Fraction(1, sig.r) + Fraction(1, sig.s) + Fraction(1, sig.t) - 1
-    if chi > 0:
-        return ChiClass.SPHERICAL
-    if chi == 0:
-        return ChiClass.EUCLIDEAN
-    return ChiClass.HYPERBOLIC
+    return _chi_of(sig.canonical)
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +224,6 @@ def _chi_of(canon: tuple[int, int, int]) -> ChiClass:
 
 
 @lru_cache(maxsize=None)
-def _divisor_list(n: int) -> tuple[int, ...]:
-    return tuple(d for d in range(2, n + 1) if n % d == 0)
-
-
-@lru_cache(maxsize=None)
 def _solved(canon: tuple[int, int, int]) -> str | None:
     """Citation chain if the signature is solved, else None.
 
@@ -258,9 +248,9 @@ def _reductions(canon: tuple[int, int, int]):
     """All proper exponent-divisor reductions, largest-sum first."""
     a, b, c = canon
     seen = set()
-    for da in _divisor_list(a):
-        for db in _divisor_list(b):
-            for dc in _divisor_list(c):
+    for da in divisors(a)[1:]:
+        for db in divisors(b)[1:]:
+            for dc in divisors(c)[1:]:
                 red = tuple(sorted((da, db, dc)))
                 if red != canon and red not in seen:
                     seen.add(red)
@@ -396,9 +386,7 @@ def _published_exclusion(canon: tuple[int, int, int]) -> str | None:
         rule = mods.get(pair)
         if rule and any(n % m == 0 for m in rule["moduli"]):
             return rule["citation"]
-        for d in _divisor_list(n):
-            if d == n:
-                continue
+        for d in divisors(n)[1:-1]:
             red = tuple(sorted(pair + (d,)))
             if _chi_of(red) is ChiClass.SPHERICAL:
                 continue

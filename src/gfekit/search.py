@@ -8,7 +8,6 @@ record re-verifies by exact integer arithmetic.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -157,8 +156,7 @@ _RESIDUE_MODULUS_CAP = 2**16
 @lru_cache(maxsize=None)
 def _sieve_primes() -> tuple[tuple[int, ...], int]:
     """The primes below _SIEVE_PRIME_BOUND, and their product."""
-    primes = small_primes()
-    below = tuple(primes[:bisect.bisect_left(primes, _SIEVE_PRIME_BOUND)])
+    below = small_primes(_SIEVE_PRIME_BOUND - 1)
     return below, math.prod(below)
 
 

@@ -10,13 +10,12 @@ certified (exact rationals against rational multiples of prime logs).
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import factor, is_prime, small_primes
+from .arith import divisors, factor, is_prime, small_primes
 from .linlog import LinLog, log_atom, log_bounds, log_of_int
 from .ramification import A2_TABLES, a1_coefficient
 
@@ -82,11 +81,6 @@ def _big_prime_slot(n: int, floor: int = 17) -> int:
 
 def _table_primes_of(n: int, table: tuple[int, ...]) -> frozenset[int]:
     return frozenset(p for p in table if n % p == 0)
-
-
-@lru_cache(maxsize=None)
-def _divisors_upto(n: int) -> tuple[int, ...]:
-    return tuple(d for d in range(1, n + 1) if n % d == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +195,7 @@ def _exponent_sieve(table: tuple[int, ...], vmax: dict[int, int], v_cap: int,
 
     @lru_cache(maxsize=None)
     def divisor_profiles(expo: int) -> tuple[frozenset[int], ...]:
-        profs = {_table_primes_of(d, table) for d in _divisors_upto(expo)
+        profs = {_table_primes_of(d, table) for d in divisors(expo)
                  if d >= expos.start}
         return tuple(p for p in profs if not any(q < p for q in profs))
 
@@ -414,8 +408,7 @@ def _twothree_z6_possible(t: int) -> bool:
                    default=None)
     if prime_cap is None or size_cap is None:
         return True
-    primes = small_primes()
-    allowed = [p for p in primes[:bisect.bisect_right(primes, prime_cap)] if p >= 5]
+    allowed = [p for p in small_primes(prime_cap) if p >= 5]
     values, frontier = {1}, [1]
     while frontier:
         v = frontier.pop()

@@ -8,12 +8,14 @@ from gfekit.arith import (
     FactoredInteger,
     FactorizationBudgetExceeded,
     coprime_part,
+    divisors,
     factor,
     integer_nth_root,
     is_perfect_power,
     is_prime,
     k_full_part,
     radical,
+    small_primes,
 )
 
 
@@ -188,6 +190,19 @@ def test_perfect_power():
     assert is_perfect_power(17) == (17, 1)
     assert is_perfect_power(2**10 * 3**5) == (12, 5)
     assert is_perfect_power(2**10 * 3**7)[1] == 1
+    assert is_perfect_power(3**1009) == (3, 1009)  # a prime exponent above 1000
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 31, 1000, 5000])
+def test_small_primes_up_to_limit(limit):
+    import sympy  # test oracle only
+
+    assert small_primes(limit) == tuple(sympy.primerange(2, limit + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 97, 360, 2**8 * 3**2, 12 * 113])
+def test_divisors_ascending(n):
+    assert divisors(n) == tuple(d for d in range(1, n + 1) if n % d == 0)
 
 
 def test_factored_integer_algebra():

@@ -3,7 +3,9 @@ import warnings
 
 import pytest
 
+from gfekit import campaign
 from gfekit.campaign import (
+    _CHUNK,
     CampaignPlan,
     CampaignReport,
     CheckpointMismatch,
@@ -69,6 +71,46 @@ def test_campaign_determinism_across_shards():
     plan = desk_plan()
     hashes = {run_campaign(plan, shards=n).report_hash() for n in (1, 4, 8)}
     assert len(hashes) == 1
+
+
+def test_checkpoint_bytes_do_not_depend_on_shards(tmp_path):
+    plan = build_p1_plan(7, 11, box_limit=20)
+    files = set()
+    for n in (1, 2, 4):
+        path = tmp_path / f"shards{n}.ckpt"
+        run_campaign(plan, shards=n, checkpoint_path=str(path))
+        files.add(path.read_bytes())
+    assert len(files) == 1
+
+
+def test_failing_task_keeps_earlier_chunks(tmp_path, monkeypatch):
+    # A pair task with root exponent 1 always raises (ValueError from the
+    # root sieves). It opens the third chunk, at an even plan index.
+    bad = 2 * _CHUNK
+    tasks = [explicit_box_task(f"box-{i}", range(1, 20), 2, range(1, 20), 3, {9})
+             for i in range(3 * _CHUNK)]
+    tasks.insert(bad, explicit_box_task("bad", [1, 2], 2, [1, 2], 3, {1}))
+    plan = CampaignPlan("failing", tasks)
+    ckpt = tmp_path / "run.ckpt"
+    with pytest.raises(ValueError):
+        run_campaign(plan, shards=2, checkpoint_path=str(ckpt))
+    recorded = [json.loads(ln)["task_id"]
+                for ln in ckpt.read_text().splitlines()[1:]]
+    assert recorded == [t.task_id for t in tasks[:bad]]
+
+    ran = []
+    run_task = campaign.run_task
+
+    def stand_in(task):
+        ran.append(task.task_id)
+        if task.task_id == "bad":
+            return {"task_id": "bad", "box_size": 0, "records": []}
+        return run_task(task)
+
+    monkeypatch.setattr(campaign, "run_task", stand_in)
+    report = run_campaign(plan, checkpoint_path=str(ckpt))
+    assert ran == [t.task_id for t in tasks[bad:]]
+    assert [o["task_id"] for o in report.outcomes] == [t.task_id for t in tasks]
 
 
 def test_plan_roundtrip(tmp_path):
@@ -155,6 +197,21 @@ def test_checkpoint_torn_at_every_byte_of_last_task_line(tmp_path):
         assert any("torn" in str(w.message) for w in caught) == torn, cut
         # the resumed checkpoint is whole: a second resume reads it cleanly
         assert run_campaign(plan, checkpoint_path=str(ckpt)).report_hash() == expected
+
+
+def test_resume_at_every_task_boundary_rebuilds_the_same_checkpoint(tmp_path):
+    plan = CampaignPlan("six-boxes", [
+        explicit_box_task(f"box-{i}", range(1, 20), 2, range(1, 20), 3, {9})
+        for i in range(6)
+    ])
+    full = tmp_path / "full.ckpt"
+    run_campaign(plan, checkpoint_path=str(full))
+    lines = full.read_bytes().splitlines(keepends=True)
+    ckpt = tmp_path / "cut.ckpt"
+    for kept in range(1, len(lines) - 1):  # the plan line plus `kept - 1` tasks
+        ckpt.write_bytes(b"".join(lines[:kept]))
+        run_campaign(plan, shards=2, checkpoint_path=str(ckpt))
+        assert ckpt.read_bytes() == full.read_bytes(), kept
 
 
 def test_resumed_checkpoint_keeps_one_integrity_line(tmp_path):
