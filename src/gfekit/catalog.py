@@ -7,6 +7,25 @@ their clauses. A signature is solved if a base rule matches, if it falls
 outside every remaining family (the headline theorem's complement), or if
 some exponent-divisor reduction lands on a solved signature; reductions
 through spherical signatures prove nothing and are never used.
+
+Registry schema, version 1. "canon - pair = n" means that removing one copy
+of each pair entry from the sorted triple leaves the exponent n.
+
+  solved rule (+ citation)  keys                 signatures
+  nnn                       n_min                (n,n,n), n >= n_min
+  aan                       fixed, repeated_min  (fixed,n,n), n >= repeated_min
+  fixed-pair-set            pair, n_values       canon - pair = n in n_values
+  fixed-pair-min            pair, n_min          canon - pair = n >= n_min
+  fixed-pair-prime-min      pair, n_min          as fixed-pair-min, n prime
+  exact                     triples              a listed triple, any order
+  remaining family (+ id, clause; the default kind is pair)
+  pair   pair, n_min, n_max[, n_extra]  canon - pair = n in n_min..n_max or n_extra
+  3mn    m_min, m_max, n_max            (3,m,n), m_min <= m <= m_max, m < n <= n_max
+  2mn    m_min, n_min                   (2,m,n), m_min <= m <= n, n >= n_min; unbounded
+
+Any other kind raises ValueError. ``modulus_exclusions`` (pair, moduli,
+citation) drop, in the published closure, the family members whose n is a
+multiple of a modulus; ``expected_counts`` holds the published count per mode.
 """
 
 from __future__ import annotations
@@ -15,7 +34,6 @@ import enum
 import hashlib
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
@@ -143,84 +161,84 @@ def load_registry() -> dict:
         return json.load(fh)
 
 
-def _match_pair(canon: tuple[int, int, int], pair: list[int]):
-    """Ways to remove the two fixed entries; yields the leftover exponent."""
-    a, b = pair
-    values = list(canon)
-    for i, u in enumerate(values):
-        if u != a:
-            continue
-        rest = values[:i] + values[i + 1:]
-        for j, v in enumerate(rest):
-            if v == b:
-                yield rest[:j] + rest[j + 1:]
-    return
+def _without(canon: tuple[int, int, int], entries: list[int]) -> list[int] | None:
+    """canon minus one copy of each entry (sorted), or None if one is missing."""
+    rest = list(canon)
+    for e in entries:
+        if e not in rest:
+            return None
+        rest.remove(e)
+    return rest
 
 
 def _base_rule_match(canon: tuple[int, int, int]) -> str | None:
     for rule in load_registry()["solved_rules"]:
         kind = rule["kind"]
         if kind == "nnn":
-            if canon[0] == canon[2] and canon[0] >= rule["n_min"]:
-                return rule["citation"]
+            hit = canon[0] == canon[2] and canon[0] >= rule["n_min"]
         elif kind == "aan":
-            rest = [e for e in canon]
-            if rule["fixed"] in rest:
-                rest.remove(rule["fixed"])
-                if rest[0] == rest[1] and rest[0] >= rule["repeated_min"]:
-                    return rule["citation"]
-        elif kind == "fixed-pair-set":
-            for leftover in _match_pair(canon, rule["pair"]):
-                if leftover[0] in rule["n_values"]:
-                    return rule["citation"]
-        elif kind == "fixed-pair-min":
-            for leftover in _match_pair(canon, rule["pair"]):
-                if leftover[0] >= rule["n_min"]:
-                    return rule["citation"]
-        elif kind == "fixed-pair-prime-min":
-            for leftover in _match_pair(canon, rule["pair"]):
-                if leftover[0] >= rule["n_min"] and is_prime(leftover[0]):
-                    return rule["citation"]
+            rest = _without(canon, [rule["fixed"]])
+            hit = rest is not None and rest[0] == rest[1] >= rule["repeated_min"]
+        elif kind in ("fixed-pair-set", "fixed-pair-min", "fixed-pair-prime-min"):
+            rest = _without(canon, rule["pair"])
+            if rest is None:
+                continue
+            n = rest[0]
+            if kind == "fixed-pair-set":
+                hit = n in rule["n_values"]
+            else:
+                hit = n >= rule["n_min"] and (kind == "fixed-pair-min" or is_prime(n))
         elif kind == "exact":
-            if list(canon) in [sorted(t) for t in rule["triples"]]:
-                return rule["citation"]
+            hit = list(canon) in [sorted(t) for t in rule["triples"]]
         else:
             raise ValueError(f"unknown solved-rule kind {kind!r}")
+        if hit:
+            return rule["citation"]
     return None
+
+
+def _family_kind(fam: dict) -> str:
+    kind = fam.get("kind", "pair")
+    if kind not in ("pair", "3mn", "2mn"):
+        raise ValueError(f"unknown remaining-family kind {kind!r}")
+    return kind
+
+
+def _family_reading(fam: dict, canon: tuple[int, int, int]
+                    ) -> tuple[tuple[int, ...], int] | None:
+    """(fixed pair, n) placing canon in the remaining family, else None."""
+    kind = _family_kind(fam)
+    fixed = fam["pair"] if kind == "pair" else [3 if kind == "3mn" else 2]
+    rest = _without(canon, fixed)
+    if rest is None:
+        return None
+    if kind == "pair":
+        n = rest[0]
+        inside = fam["n_min"] <= n <= fam["n_max"] or n in fam.get("n_extra", ())
+    else:
+        m, n = rest
+        fixed = [fixed[0], m]
+        if kind == "3mn":
+            inside = fam["m_min"] <= m <= fam["m_max"] and m < n <= fam["n_max"]
+        else:
+            inside = m >= fam["m_min"] and n >= fam["n_min"]
+    return (tuple(fixed), n) if inside else None
 
 
 def _remaining_clause(canon: tuple[int, int, int]) -> str | None:
     for fam in load_registry()["remaining_families"]:
-        kind = fam.get("kind", "pair")
-        if kind == "pair" or "pair" in fam:
-            for leftover in _match_pair(canon, fam["pair"]):
-                n = leftover[0]
-                if fam["n_min"] <= n <= fam["n_max"] or n in fam.get("n_extra", ()):
-                    return fam["clause"]
-        elif kind == "3mn":
-            if 3 in canon:
-                rest = [e for e in canon]
-                rest.remove(3)
-                m, n = sorted(rest)
-                if fam["m_min"] <= m <= fam["m_max"] and m < n <= fam["n_max"]:
-                    return fam["clause"]
-        elif kind == "2mn":
-            if 2 in canon:
-                rest = [e for e in canon]
-                rest.remove(2)
-                m, n = sorted(rest)
-                if m >= fam["m_min"] and n >= fam["n_min"]:
-                    return fam["clause"]
-        else:
-            raise ValueError(f"unknown remaining-family kind {kind!r}")
+        if _family_reading(fam, canon) is not None:
+            return fam["clause"]
     return None
 
 
 def _chi_of(canon: tuple[int, int, int]) -> ChiClass:
-    chi = sum(Fraction(1, e) for e in canon) - 1
-    if chi > 0:
+    """Sign of chi = 1/a + 1/b + 1/c - 1, compared as ab + bc + ca vs abc."""
+    a, b, c = canon
+    lhs, abc = a * b + b * c + c * a, a * b * c
+    if lhs > abc:
         return ChiClass.SPHERICAL
-    return ChiClass.EUCLIDEAN if chi == 0 else ChiClass.HYPERBOLIC
+    return ChiClass.EUCLIDEAN if lhs == abc else ChiClass.HYPERBOLIC
 
 
 @lru_cache(maxsize=None)
@@ -342,23 +360,23 @@ def _in_range_candidates(floor: int):
     """Every canonical signature inside a bounded remaining family."""
     out = set()
     for fam in load_registry()["remaining_families"]:
-        kind = fam.get("kind", "pair")
+        kind = _family_kind(fam)
         if kind == "2mn":
             continue  # unbounded, and its minimum exponent is 2
         if kind == "3mn":
-            for m in range(fam["m_min"], fam["m_max"] + 1):
-                for n in range(m + 1, fam["n_max"] + 1):
-                    canon = tuple(sorted((3, m, n)))
-                    if canon[0] >= floor:
-                        out.add(canon)
-            continue
-        a, b = fam["pair"]
-        ns = list(range(fam["n_min"], fam["n_max"] + 1)) + list(fam.get("n_extra", ()))
-        for n in ns:
-            canon = tuple(sorted((a, b, n)))
-            if canon[0] >= floor:
-                out.add(canon)
+            members = ((3, m, n) for m in range(fam["m_min"], fam["m_max"] + 1)
+                       for n in range(m + 1, fam["n_max"] + 1))
+        else:
+            ns = [*range(fam["n_min"], fam["n_max"] + 1), *fam.get("n_extra", ())]
+            members = ((*fam["pair"], n) for n in ns)
+        out.update(tuple(sorted(t)) for t in members if min(t) >= floor)
     return sorted(out)
+
+
+def _full_exclusion(canon: tuple[int, int, int]) -> str | None:
+    """Citation excluding canon under the full closure, via status()."""
+    st = status(Signature(*canon))
+    return None if st.state is State.REMAINING else st.provenance
 
 
 def _published_exclusion(canon: tuple[int, int, int]) -> str | None:
@@ -369,20 +387,10 @@ def _published_exclusion(canon: tuple[int, int, int]) -> str | None:
     if direct is not None:
         return direct
     reg = load_registry()
-    pairs = []
-    for fam in reg["remaining_families"]:
-        if "pair" in fam:
-            for n in _match_pair(canon, fam["pair"]):
-                if fam["n_min"] <= n[0] <= fam["n_max"] or n[0] in fam.get("n_extra", ()):
-                    pairs.append((tuple(fam["pair"]), n[0]))
-        elif fam.get("kind") == "3mn" and 3 in canon:
-            rest = [e for e in canon]
-            rest.remove(3)
-            m, n = sorted(rest)
-            if fam["m_min"] <= m <= fam["m_max"] and m < n <= fam["n_max"]:
-                pairs.append(((3, m), n))
+    readings = [r for fam in reg["remaining_families"]
+                for r in [_family_reading(fam, canon)] if r is not None]
     mods = {tuple(m["pair"]): m for m in reg["modulus_exclusions"]}
-    for pair, n in pairs:
+    for pair, n in readings:
         rule = mods.get(pair)
         if rule and any(n % m == 0 for m in rule["moduli"]):
             return rule["citation"]
@@ -416,22 +424,13 @@ def count_remaining(mode: str, *, use_exclusions: bool = True,
     floor = floors[mode]
     ledger: list[tuple[int, int, int]] = []
     excluded: list[dict] = []
+    exclusion = _full_exclusion if closure == "full" else _published_exclusion
     for canon in _in_range_candidates(floor):
-        if not use_exclusions:
+        cite = exclusion(canon) if use_exclusions else None
+        if cite is None:
             ledger.append(canon)
-            continue
-        if closure == "full":
-            st = status(Signature(*canon))
-            if st.state is State.REMAINING:
-                ledger.append(canon)
-            else:
-                excluded.append({"signature": list(canon), "citation": st.provenance})
         else:
-            cite = _published_exclusion(canon)
-            if cite is None:
-                ledger.append(canon)
-            else:
-                excluded.append({"signature": list(canon), "citation": cite})
+            excluded.append({"signature": list(canon), "citation": cite})
     digest = hashlib.sha256(json.dumps(ledger).encode()).hexdigest()
     expected = load_registry()["expected_counts"][mode]
     return CountResult(

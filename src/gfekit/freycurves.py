@@ -94,9 +94,6 @@ def abc_permutation(u: int, v: int, w: int) -> tuple[int, int, int]:
             f"no admissible permutation of {triple}: no odd entry with 4 | (a+1)"
         )
     a = candidates[0]
-    c = [t for t in triple if t != a and t != b]
-    if not c:  # a == b impossible; duplicates only matter for equal odds
-        c = [a]
     return a, b, -a - b
 
 

@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +15,7 @@ from gfekit.catalog import (
     count_remaining,
     known_solutions,
     load_registry,
+    set_registry_path,
     status,
 )
 from gfekit.search import SolutionRecord
@@ -22,6 +26,14 @@ def test_chi_examples():
     assert classify_chi(Signature(2, 4, 4)) is ChiClass.EUCLIDEAN
     assert classify_chi(Signature(4, 5, 7)) is ChiClass.HYPERBOLIC
     assert classify_chi(Signature(2, 3, 6)) is ChiClass.EUCLIDEAN
+    # sweep against the rational definition chi = 1/a + 1/b + 1/c - 1
+    for a, b in itertools.combinations_with_replacement(range(2, 101), 2):
+        chi_ab = Fraction(1, a) + Fraction(1, b) - 1
+        for c in range(b, 101):
+            chi = chi_ab + Fraction(1, c)
+            expected = (ChiClass.SPHERICAL if chi > 0 else
+                        ChiClass.EUCLIDEAN if chi == 0 else ChiClass.HYPERBOLIC)
+            assert classify_chi(Signature(a, b, c)) is expected, (a, b, c)
 
 
 def test_known_solutions_verify():
@@ -137,3 +149,52 @@ def test_counters_mode_validation_and_exclusion_toggle():
     raw = count_remaining("ge4", use_exclusions=False)
     assert raw.count > 244
     assert set(map(tuple, count_remaining("ge4").ledger)) <= set(map(tuple, raw.ledger))
+
+
+# Counts and ledger hashes of both closures at both floors.
+COUNT_PINS = {
+    ("ge4", "full"): (244, "a126315844542bc339633bf1de3f2918ad3d4cc9e079e22ee4d0bdc582a76bc4"),
+    ("ge4", "published"): (244, "a126315844542bc339633bf1de3f2918ad3d4cc9e079e22ee4d0bdc582a76bc4"),
+    ("beal", "full"): (2420, "24d99bec66c565803f258d8bff3f66e5a9b1ab96e43c3e0c58934d2da25ba726"),
+    ("beal", "published"): (2444, "052fb5b63a78cae31aefa049ccc901f9e5f9a595bc8a96daecc1bf14dcd53a42"),
+}
+
+
+@pytest.mark.parametrize(("mode", "closure"), sorted(COUNT_PINS))
+def test_count_pins(mode, closure):
+    result = count_remaining(mode, closure=closure)
+    assert (result.count, result.ledger_hash) == COUNT_PINS[mode, closure]
+
+
+def test_count_without_exclusions_pin():
+    raw = count_remaining("beal", use_exclusions=False)
+    assert (raw.count, raw.ledger_hash) == (
+        6249, "18cc5c80de9086ed6053464bf5cf70993147dea7079c32f2543016da67c0f3ff")
+
+
+def test_status_sweep_pin():
+    # state and provenance of every canonical triple with entries in 2..60
+    rows = [[list(canon), st.state.value, st.provenance]
+            for canon in itertools.combinations_with_replacement(range(2, 61), 3)
+            for st in [status(Signature(*canon))]]
+    assert len(rows) == 35990
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "ea60f7e75249b373a32f43dcbbee11bc28fec925b00771368531e6d437712f08")
+
+
+def test_set_registry_path_switches_and_restores(tmp_path):
+    reg = load_registry()
+    assert status(Signature(4, 5, 11)).state is State.REMAINING  # warm the caches
+    trimmed = dict(reg, remaining_families=[
+        fam for fam in reg["remaining_families"] if fam["id"] != "f-45n"])
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps(trimmed))
+    set_registry_path(str(path))
+    try:
+        assert count_remaining("ge4").count != 244
+        assert status(Signature(4, 5, 11)).state is not State.REMAINING
+    finally:
+        set_registry_path(None)
+    result = count_remaining("ge4")
+    assert (result.count, result.ledger_hash) == COUNT_PINS["ge4", "full"]
+    assert status(Signature(4, 5, 11)).state is State.REMAINING

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from gfekit.campaign import CampaignPlan, explicit_box_task
+from gfekit.catalog import load_registry, set_registry_path
 from gfekit.cli import command_dispatch
 
 
@@ -148,3 +149,20 @@ def test_null_config_keys_count_as_absent(capsys, tmp_path):
     code, _, err = run(capsys, "--config", str(path), "bounds", "general",
                        "5", "7", "11", "--set", "11", "13")
     assert code == 1 and "Vol constant not configured" in err
+
+
+def test_unknown_family_kind_is_domain_error(capsys, tmp_path):
+    reg = load_registry()
+    bad = dict(reg, remaining_families=reg["remaining_families"] + [
+        {"id": "f-4mn", "kind": "4mn", "clause": "(4,m,n)"}])
+    reg_path = tmp_path / "registry.json"
+    reg_path.write_text(json.dumps(bad))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "registry_path": str(reg_path)}))
+    try:
+        for argv in (("classify", "4", "5", "400"), ("count", "ge4")):
+            code, _, err = run(capsys, "--config", str(cfg), *argv)
+            assert code == 1, argv
+            assert "error: unknown remaining-family kind" in err, argv
+    finally:
+        set_registry_path(None)
