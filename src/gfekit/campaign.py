@@ -21,7 +21,8 @@ from fractions import Fraction
 from .linlog import LinLog, log_bounds
 from .ramification import A2_TABLES
 from .ramification import a1_coefficient
-from .search import SolutionRecord, check_pair, check_power_tail
+from .search import (SolutionRecord, check_pair, check_power_tail,
+                     enumerate_candidates)
 from .structure import structure_profile
 
 __all__ = [
@@ -99,29 +100,15 @@ class CampaignPlan:
             return cls.from_dict(json.load(fh))
 
 
-def _expand_spec(spec: dict) -> list[int]:
-    """Candidate values for one coordinate, from a generator spec."""
-    if "values" in spec:
-        return sorted(set(int(v) for v in spec["values"]))
-    l = spec["l"]
-    out = set()
-    for lp in spec.get("lparts", [1]):
-        for el in range(spec.get("el_cap", 0) + 1):
-            for e3 in range(spec.get("e3_cap", 0) + 1):
-                for e2 in range(spec.get("e2_cap", 0) + 1):
-                    out.add(spec["smooth"] * 2**e2 * 3**e3 * l**el * lp**l)
-    return sorted(out)
-
-
 def run_task(task: Task) -> dict:
     p = task.params
     if task.kind == "pair":
-        a = _expand_spec(p["a"])
-        b = _expand_spec(p["b"])
+        a = enumerate_candidates(p["a"])
+        b = enumerate_candidates(p["b"])
         records = check_pair(a, p["r"], b, p["s"], p["t_set"])
         box = len(a) * len(b)
     elif task.kind == "tail":
-        cands = _expand_spec(p["spec"])
+        cands = enumerate_candidates(p["spec"])
         records = check_power_tail(
             cands, p["s"], p["r_set"], range(p["m_lo"], p["m_hi"] + 1),
             m_bounds=(p["m_lo"], p["m_hi"]),
@@ -351,7 +338,7 @@ def build_p1_plan(r: int, s: int, *, l: int | None = None,
     tasks = []
     for name, expo, other in (("x", r, s), ("y", s, r)):
         var = prof.variables[name]
-        for smooth in _smooth_values_under(cap, (2, l), box_limit):
+        for smooth in _smooth_values_under(cap, var.smooth_coprime_to, box_limit):
             spec = _spec_for(var, smooth, l, box_limit)
             spec["e2_cap"] = 0  # this coordinate is odd: the 2-power is z
             tasks.append(Task(
@@ -374,28 +361,26 @@ def _pair_plan(kind: str, r: int, s: int, t: int, l: int | None,
     a2 = Fraction(A2_TABLES["general-2tor-alt"][l])
     rp, sp, tp = Fraction(r) - a1, Fraction(s) - a1, Fraction(t) - a1
     prof = structure_profile("general", (r, s, t), l)
-    tasks = []
+    # Each group bounds ca*log(smooth_a) + cb*log(smooth_b) by budget.
     if kind == "P2":
         if not t >= r + s - 3:
             raise ValueError("P2 needs t >= r + s - 3")
-        groups = [("x", r, "z", t, s, rp + sp, tp), ("y", s, "z", t, r, rp + sp, tp)]
-        for na, ea, nb, eb, third, ca, cb in groups:
-            for sa in _smooth_values_under(a2 / ca, (2, l), box_limit):
-                rem = a2 - ca * log_bounds(sa)[1]
-                for sb in _smooth_values_under(rem / cb, (2, l), box_limit):
-                    tasks.append(_pair_task(prof, na, sa, ea, nb, sb, eb,
-                                            [third], l, box_limit))
+        budget, ca, cb = a2, rp + sp, tp
+        groups = [("x", r, "z", t, s), ("y", s, "z", t, r)]
     else:
         if not t <= r + s - 4:
             raise ValueError("P3 needs t <= r + s - 4")
-        joint = 2 * a2 / (rp + sp + tp)
+        budget, ca, cb = 2 * a2 / (rp + sp + tp), 1, 1
         groups = [("x", r, "y", s, t), ("x", r, "z", t, s), ("y", s, "z", t, r)]
-        for na, ea, nb, eb, third in groups:
-            for sa in _smooth_values_under(joint, (2, l), box_limit):
-                rem = joint - log_bounds(sa)[1]
-                for sb in _smooth_values_under(rem, (2, l), box_limit):
-                    tasks.append(_pair_task(prof, na, sa, ea, nb, sb, eb,
-                                            [third], l, box_limit))
+    tasks = []
+    for na, ea, nb, eb, third in groups:
+        coprime_a = prof.variables[na].smooth_coprime_to
+        coprime_b = prof.variables[nb].smooth_coprime_to
+        for sa in _smooth_values_under(budget / ca, coprime_a, box_limit):
+            rem = budget - ca * log_bounds(sa)[1]
+            for sb in _smooth_values_under(rem / cb, coprime_b, box_limit):
+                tasks.append(_pair_task(prof, na, sa, ea, nb, sb, eb,
+                                        [third], l, box_limit))
     return CampaignPlan(
         name=f"{kind}({r},{s},{t};l={l})", tasks=tasks,
         meta={"r": r, "s": s, "t": t, "l": l, "box_limit": box_limit},

@@ -23,9 +23,11 @@ of each pair entry from the sorted triple leaves the exponent n.
   3mn    m_min, m_max, n_max            (3,m,n), m_min <= m <= m_max, m < n <= n_max
   2mn    m_min, n_min                   (2,m,n), m_min <= m <= n, n >= n_min; unbounded
 
-Any other kind raises ValueError. ``modulus_exclusions`` (pair, moduli,
-citation) drop, in the published closure, the family members whose n is a
-multiple of a modulus; ``expected_counts`` holds the published count per mode.
+``modulus_exclusions`` (pair, moduli, citation) drop, in the published
+closure, the family members whose n is a multiple of a modulus;
+``expected_counts`` holds the published count per mode (ge4, beal) and
+``notes`` the rule notes that discrepancy reports quote. load_registry
+raises ValueError on a missing section or key and on any other kind.
 """
 
 from __future__ import annotations
@@ -152,13 +154,48 @@ def set_registry_path(path: str | None) -> None:
     _solved.cache_clear()
 
 
+# The schema above, per section: the entry label in errors, the default kind,
+# the keys of every entry, and the further keys of each kind.
+_SCHEMA = {
+    "solved_rules": ("solved-rule", None, ("kind", "citation"), {
+        "nnn": ("n_min",), "aan": ("fixed", "repeated_min"),
+        "fixed-pair-set": ("pair", "n_values"), "fixed-pair-min": ("pair", "n_min"),
+        "fixed-pair-prime-min": ("pair", "n_min"), "exact": ("triples",)}),
+    "remaining_families": ("remaining-family", "pair", ("id", "clause"), {
+        "pair": ("pair", "n_min", "n_max"), "3mn": ("m_min", "m_max", "n_max"),
+        "2mn": ("m_min", "n_min")}),
+    "modulus_exclusions": (None, None, ("pair", "moduli", "citation"), {None: ()}),
+}
+
+
+def _checked(reg: dict) -> dict:
+    """reg, if it has every section, mode count and key of the schema and
+    only known kinds; ValueError naming what is missing otherwise."""
+    for section in (*_SCHEMA, "expected_counts", "notes"):
+        if section not in reg:
+            raise ValueError(f"registry has no section {section!r}")
+    for mode in ("ge4", "beal"):
+        if mode not in reg["expected_counts"]:
+            raise ValueError(f"registry expected_counts has no key {mode!r}")
+    for section, (label, default, common, per_kind) in _SCHEMA.items():
+        for i, entry in enumerate(reg[section]):
+            kind = entry.get("kind", default)
+            missing = [k for k in common + per_kind.get(kind, ()) if k not in entry]
+            if missing:
+                raise ValueError(f"registry {section}[{i}] has no key {missing[0]!r}")
+            if kind not in per_kind:
+                raise ValueError(f"unknown {label} kind {kind!r}")
+    return reg
+
+
 @lru_cache(maxsize=1)
 def load_registry() -> dict:
+    """The registry, checked against the schema (ValueError if it fails)."""
     if _REGISTRY_PATH[0] is not None:
         with open(_REGISTRY_PATH[0]) as fh:
-            return json.load(fh)
+            return _checked(json.load(fh))
     with resources.files("gfekit.data").joinpath("registry.json").open() as fh:
-        return json.load(fh)
+        return _checked(json.load(fh))
 
 
 def _without(canon: tuple[int, int, int], entries: list[int]) -> list[int] | None:
@@ -188,26 +225,17 @@ def _base_rule_match(canon: tuple[int, int, int]) -> str | None:
                 hit = n in rule["n_values"]
             else:
                 hit = n >= rule["n_min"] and (kind == "fixed-pair-min" or is_prime(n))
-        elif kind == "exact":
+        else:  # exact
             hit = list(canon) in [sorted(t) for t in rule["triples"]]
-        else:
-            raise ValueError(f"unknown solved-rule kind {kind!r}")
         if hit:
             return rule["citation"]
     return None
 
 
-def _family_kind(fam: dict) -> str:
-    kind = fam.get("kind", "pair")
-    if kind not in ("pair", "3mn", "2mn"):
-        raise ValueError(f"unknown remaining-family kind {kind!r}")
-    return kind
-
-
 def _family_reading(fam: dict, canon: tuple[int, int, int]
                     ) -> tuple[tuple[int, ...], int] | None:
     """(fixed pair, n) placing canon in the remaining family, else None."""
-    kind = _family_kind(fam)
+    kind = fam.get("kind", "pair")
     fixed = fam["pair"] if kind == "pair" else [3 if kind == "3mn" else 2]
     rest = _without(canon, fixed)
     if rest is None:
@@ -263,7 +291,9 @@ def _solved(canon: tuple[int, int, int]) -> str | None:
 
 
 def _reductions(canon: tuple[int, int, int]):
-    """All proper exponent-divisor reductions, largest-sum first."""
+    """All proper exponent-divisor reductions, each once, in ascending
+    divisor order: a's divisors vary slowest, c's fastest, so (4,6,9)
+    starts (2,2,3), (2,2,9), (2,3,3), (2,3,9)."""
     a, b, c = canon
     seen = set()
     for da in divisors(a)[1:]:
@@ -360,7 +390,7 @@ def _in_range_candidates(floor: int):
     """Every canonical signature inside a bounded remaining family."""
     out = set()
     for fam in load_registry()["remaining_families"]:
-        kind = _family_kind(fam)
+        kind = fam.get("kind", "pair")
         if kind == "2mn":
             continue  # unbounded, and its minimum exponent is 2
         if kind == "3mn":

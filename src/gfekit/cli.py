@@ -371,9 +371,14 @@ def command_dispatch(argv=None) -> int:
         if prec:
             set_precision(prec.get("initial", 128), prec.get("max", 1024))
         if cfg.get("registry_path"):
-            from .catalog import set_registry_path
+            from .catalog import load_registry, set_registry_path
 
             set_registry_path(cfg["registry_path"])
+            try:
+                load_registry()
+            except json.JSONDecodeError as exc:
+                raise ConfigFileError(
+                    f"registry {cfg['registry_path']} is not valid JSON: {exc}") from exc
         return args.fn(args)
     except (InvalidTriple, ValueError, VolNotConfigured, ConfigError,
             FactorizationBudgetExceeded, PrecisionExhausted,

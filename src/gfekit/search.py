@@ -1,47 +1,29 @@
-"""Decomposition-constrained exhaustive search primitives.
+"""Exhaustive search primitives over finite candidate boxes, in exact
+integers.
 
-Candidate coordinates are enumerated from structure profiles (smooth part,
-2/3/l-exponents, l-part), then finite boxes are checked exactly: is
-|x^r +- y^s| a perfect power with an admissible exponent? Every emitted
-record re-verifies by exact integer arithmetic.
+Campaign plans describe each box coordinate by a generator spec (fixed
+smooth part, caps on the 2/3/l-exponents, l-part bases, or an explicit value
+list); enumerate_candidates expands a spec, and the box checks decide
+exactly whether |x^r +- y^s| is a perfect power with an admissible exponent.
+Every emitted record re-verifies by exact integer arithmetic. Nothing here
+evaluates a logarithm: the caps that size a box are the plan builder's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .arith import (factor, integer_nth_root, is_perfect_square, k_full_part,
-                    small_primes)
-from .linlog import LinLog
-from .structure import VariableProfile
+from .arith import integer_nth_root, is_perfect_square, small_primes
 
 __all__ = [
-    "Decomposition",
     "SolutionRecord",
     "enumerate_candidates",
     "check_pair",
     "check_power_tail",
     "small_z1_scan",
 ]
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """x = smooth * 2^e2 * 3^e3 * l^el * l_part^l, all parts pairwise coprime."""
-
-    smooth: int
-    e2: int
-    e3: int
-    el: int
-    l_part: int
-    l: int
-
-    def value(self) -> int:
-        return (self.smooth * 2**self.e2 * 3**self.e3
-                * self.l**self.el * self.l_part**self.l)
 
 
 @dataclass(frozen=True)
@@ -96,55 +78,25 @@ def _mk_record(x, r, sx, y, s, sy, z, t) -> SolutionRecord:
     return rec
 
 
-def enumerate_candidates(
-    profile: VariableProfile,
-    l: int,
-    *,
-    smooth_limit: int | None = None,
-) -> list[tuple[int, Decomposition]]:
-    """All coordinate values admitted by a variable profile, with their
-    decompositions, sorted by value and duplicate-free.
+def enumerate_candidates(spec: dict) -> list[int]:
+    """Candidate values for one coordinate from a generator spec, ascending
+    and duplicate-free.
 
-    smooth_limit optionally truncates the smooth-part enumeration (for
-    desk-scale boxes); the truncation is the caller's to record.
+    A spec is either {"values": [...]}, an explicit list, or
+    {"smooth", "l", "e2_cap", "e3_cap", "el_cap", "lparts"}, which admits
+    every smooth * 2^e2 * 3^e3 * l^el * lp^l with each exponent from 0 up to
+    its cap (a missing cap is 0) and lp from lparts (default [1]).
     """
-    if not profile.is_finite() and smooth_limit is None:
-        raise ValueError(f"profile for {profile.name!r} is unbounded")
-    smooth_vals = _smooth_values(profile, l, smooth_limit)
-    out: dict[int, Decomposition] = {}
-    e3_range = range(profile.cap_e3 + 1)
-    for smooth in smooth_vals:
-        for lp in (profile.lpart_candidates or (1,)):
-            for el in range(profile.cap_el + 1):
-                for e2 in range(profile.cap_e2 + 1):
-                    for e3 in e3_range:
-                        dec = Decomposition(smooth, e2, e3, el, lp, l)
-                        if profile.forced_power_of_two and (
-                                smooth != 1 or lp != 1 or el or e3):
-                            continue
-                        val = dec.value()
-                        if val in out:
-                            raise AssertionError(f"duplicate candidate {val}")
-                        out[val] = dec
-    return sorted(out.items())
-
-
-def _smooth_values(profile: VariableProfile, l: int, limit: int | None) -> list[int]:
-    if profile.forced_power_of_two:
-        return [1]
-    top = limit
-    if profile.smooth_log_cap is not None:
-        top = LinLog.of(Fraction(profile.smooth_log_cap)).floor_exp(at_most=limit)
-    vals = [1]
-    for m in range(2, top + 1):
-        if any(m % p == 0 for p in profile.smooth_coprime_to):
-            continue
-        # The smooth part must not hide an l-full block (uniqueness of the
-        # decomposition) nor the prime l itself.
-        if m % l == 0 or not k_full_part(factor(m), l).is_one():
-            continue
-        vals.append(m)
-    return vals
+    if "values" in spec:
+        return sorted(set(int(v) for v in spec["values"]))
+    l = spec["l"]
+    out = set()
+    for lp in spec.get("lparts", [1]):
+        for el in range(spec.get("el_cap", 0) + 1):
+            for e3 in range(spec.get("e3_cap", 0) + 1):
+                for e2 in range(spec.get("e2_cap", 0) + 1):
+                    out.add(spec["smooth"] * 2**e2 * 3**e3 * l**el * lp**l)
+    return sorted(out)
 
 
 # Primes below this bound give the coprimality masks of check_pair and the
@@ -210,8 +162,8 @@ def _sieved_roots(value: int, sieves) -> list[tuple[int, int]]:
 
 
 def _candidate_values(candidates) -> list[int]:
-    """Plain values of ints or (value, Decomposition) pairs, each >= 1."""
-    vals = [c[0] if isinstance(c, tuple) else c for c in candidates]
+    """The candidates as a list, after checking that each is >= 1."""
+    vals = list(candidates)
     if vals and min(vals) < 1:
         raise ValueError(f"candidates must be >= 1, got {min(vals)}")
     return vals
@@ -261,8 +213,7 @@ def check_pair(
 ) -> list[SolutionRecord]:
     """Check |x^r +- y^s| = z^t over two candidate lists, exactly.
 
-    Candidates may be plain ints or (value, Decomposition) pairs, each
-    >= 1 (ValueError otherwise). Records are normalized to
+    Candidates are ints >= 1 (ValueError otherwise). Records are normalized to
     sign_r * x^r + sign_s * y^s = z^t with positive x, y, z; roots z = 1 are
     dropped unless allow_unit_root (they belong to the unit-difference
     family, not to the search target).

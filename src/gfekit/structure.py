@@ -60,6 +60,8 @@ TWOTHREE_Z6_FORBIDDEN_BASES = (5, 7, 11)
 _GENERAL_TABLE = A2_TABLES["general-2tor"]
 _GENERAL_ALT = A2_TABLES["general-2tor-alt"]
 _GENERAL_MU6 = A2_TABLES["general-mu6"]
+# Comparison primes of the general family, ascending.
+_GENERAL_POOL = tuple(sorted(_GENERAL_TABLE))
 _THREERS_TABLE = A2_TABLES["threers-2tor"]
 _THREERS_MU6 = A2_TABLES["threers-mu6"]
 
@@ -83,6 +85,11 @@ def _table_primes_of(n: int, table: tuple[int, ...]) -> frozenset[int]:
     return frozenset(p for p in table if n % p == 0)
 
 
+def _general_pool(r: int, l: int) -> list[int]:
+    """The comparison primes left at exponent r: neither l nor a divisor of r."""
+    return [p for p in _GENERAL_POOL if p != l and r % p]
+
+
 # ---------------------------------------------------------------------------
 # General family: l-part classification (the x_l table).
 
@@ -104,7 +111,7 @@ def xl_candidates(r: int, l: int) -> tuple[int, ...]:
         raise ValueError("need a prime l >= 11")
     if r % l == 0:
         raise ValueError("classification needs l coprime to r")
-    q_pool = [p for p in (11, 13, 17, 19, 23) if p != l and r % p != 0]
+    q_pool = _general_pool(r, l)
     bound = Fraction(GENERAL_H2_CAP, l * r)  # initial log-cap on the l-part
     for _ in range(8):
         size = LinLog.of(bound).floor_exp()
@@ -128,7 +135,7 @@ def general_rl_cap(r: int, l: int) -> int:
     """Cap on the exponent of l itself in the coordinate decomposition."""
     if r < 4 or not is_prime(l) or l < 11 or r % l == 0:
         raise ValueError("need r >= 4 and a prime l >= 11 coprime to r")
-    q_pool = [p for p in (11, 13, 17, 19, 23) if p != l and r % p != 0]
+    q_pool = _general_pool(r, l)
     # First pass allows the l-exponent to hide one pool prime.
     q = q_pool[1] if len(q_pool) > 1 else q_pool[0]
     prod_cap = _GENERAL_TABLE[q] / log_bounds(l)[0] + 4
@@ -147,11 +154,10 @@ def general_rl_product_cap() -> int:
     the smallest l = 11. Dividing by a lower bound on log(11) keeps the cap
     on the safe side.
     """
-    pool = (11, 13, 17, 19, 23)
-    first = _GENERAL_TABLE[pool[3]] / log_bounds(11)[0] + 4
+    first = _GENERAL_TABLE[_GENERAL_POOL[3]] / log_bounds(11)[0] + 4
     if first / 4 >= 11:
         raise AssertionError("first-pass l-exponent cap unexpectedly large")
-    return _floor_frac(_GENERAL_TABLE[pool[2]] / log_bounds(11)[0] + 4)
+    return _floor_frac(_GENERAL_TABLE[_GENERAL_POOL[2]] / log_bounds(11)[0] + 4)
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +255,9 @@ def general_v2_sieve() -> tuple[int, int]:
 def general_x1_collapse_threshold() -> int:
     """Least r0 such that for every exponent >= r0 the smooth part is 1."""
     log3 = log_atom(3)
-    pool = (11, 13, 17, 19, 23)
 
     def collapses(r: int) -> bool:
-        for p in pool:
+        for p in _GENERAL_POOL:
             if r % p:
                 return LinLog.of(Fraction(_GENERAL_TABLE[p], r - 4)) < log3
         return False
@@ -448,9 +453,6 @@ class VariableProfile:
     smooth_coprime_to: tuple[int, ...]   # primes excluded from the smooth part
     forced_power_of_two: bool = False
     notes: tuple[str, ...] = ()
-
-    def is_finite(self) -> bool:
-        return self.forced_power_of_two or self.smooth_log_cap is not None
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import json
+import math
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -34,6 +36,13 @@ def test_p3_plan_shape():
     with pytest.raises(ValueError):
         build_p2_plan(5, 6, 7)  # 7 < 5 + 6 - 3
     assert build_p2_plan(4, 5, 30, box_limit=4).tasks
+
+
+def test_smooth_values_under_coprime_example():
+    # A log cap just above log 7 admits the odd values up to 7.
+    cap = Fraction(math.log(7)).limit_denominator(10**6) + Fraction(1, 10**6)
+    assert campaign._smooth_values_under(cap, (2,), None) == [1, 3, 5, 7]
+    assert campaign._smooth_values_under(cap, (2, 3), 5) == [1, 5]
 
 
 @pytest.mark.parametrize("build, exponents, tasks, digest", [

@@ -151,18 +151,45 @@ def test_null_config_keys_count_as_absent(capsys, tmp_path):
     assert code == 1 and "Vol constant not configured" in err
 
 
+def _run_against_registry(capsys, tmp_path, registry_text,
+                          signature=("4", "5", "11")):
+    """(exit code, stderr) of classify and count ge4 with this registry text."""
+    reg_path = tmp_path / "registry.json"
+    reg_path.write_text(registry_text)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "registry_path": str(reg_path)}))
+    out = []
+    try:
+        for argv in (("classify", *signature), ("count", "ge4")):
+            code, _, err = run(capsys, "--config", str(cfg), *argv)
+            out.append((code, err))
+    finally:
+        set_registry_path(None)
+    return out
+
+
 def test_unknown_family_kind_is_domain_error(capsys, tmp_path):
     reg = load_registry()
     bad = dict(reg, remaining_families=reg["remaining_families"] + [
         {"id": "f-4mn", "kind": "4mn", "clause": "(4,m,n)"}])
-    reg_path = tmp_path / "registry.json"
-    reg_path.write_text(json.dumps(bad))
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"schema_version": 1, "registry_path": str(reg_path)}))
-    try:
-        for argv in (("classify", "4", "5", "400"), ("count", "ge4")):
-            code, _, err = run(capsys, "--config", str(cfg), *argv)
-            assert code == 1, argv
-            assert "error: unknown remaining-family kind" in err, argv
-    finally:
-        set_registry_path(None)
+    for code, err in _run_against_registry(capsys, tmp_path, json.dumps(bad),
+                                           ("4", "5", "400")):
+        assert code == 1
+        assert "error: unknown remaining-family kind" in err
+
+
+@pytest.mark.parametrize("key", ["clause", "n_max"])
+def test_registry_missing_key_is_domain_error(capsys, tmp_path, key):
+    reg = load_registry()
+    first = {k: v for k, v in reg["remaining_families"][0].items() if k != key}
+    bad = dict(reg, remaining_families=[first, *reg["remaining_families"][1:]])
+    for code, err in _run_against_registry(capsys, tmp_path, json.dumps(bad)):
+        assert code == 1
+        assert err.startswith("error: registry remaining_families[0]")
+        assert f"has no key {key!r}" in err
+
+
+def test_registry_that_is_not_json_is_config_error(capsys, tmp_path):
+    for code, err in _run_against_registry(capsys, tmp_path, '{"solved_rules": ['):
+        assert code == 2
+        assert err.startswith("configuration error: registry")

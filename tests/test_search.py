@@ -1,14 +1,16 @@
 import math
+import os
 import random
-from fractions import Fraction
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from gfekit.arith import factor, integer_nth_root
-from gfekit.campaign import _expand_spec, build_p3_plan
+from gfekit.campaign import build_p3_plan
 from gfekit.search import (
-    Decomposition,
     SolutionRecord,
     _power_residues,
     _square_residue_ys,
@@ -18,53 +20,41 @@ from gfekit.search import (
     enumerate_candidates,
     small_z1_scan,
 )
-from gfekit.structure import VariableProfile
 
-
-def make_profile(**kw) -> VariableProfile:
-    base = dict(name="x", exponent=4, smooth_log_cap=Fraction(0),
-                lpart_candidates=(1,), cap_e2=0, cap_e3=0, cap_el=0,
-                smooth_coprime_to=(2,), forced_power_of_two=False, notes=())
-    base.update(kw)
-    return VariableProfile(**base)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_enumerate_trivial_expansion():
-    prof = make_profile(cap_e2=2)
-    vals = [v for v, _ in enumerate_candidates(prof, 11)]
-    assert vals == [1, 2, 4]
+    assert enumerate_candidates({"smooth": 1, "l": 11, "e2_cap": 2}) == [1, 2, 4]
 
 
 def test_enumerate_lpart_example():
-    prof = make_profile(lpart_candidates=(1, 3, 5))
-    vals = [v for v, _ in enumerate_candidates(prof, 11)]
-    assert vals == sorted([1, 3**11, 5**11])
+    spec = {"smooth": 1, "l": 11, "lparts": [1, 3, 5]}
+    assert enumerate_candidates(spec) == [1, 3**11, 5**11]
 
 
-def test_enumerate_smooth_coprime_example():
-    import math as m
-
-    prof = make_profile(smooth_log_cap=Fraction(m.log(7)).limit_denominator(10**6)
-                        + Fraction(1, 10**6), smooth_coprime_to=(2,))
-    vals = [v for v, _ in enumerate_candidates(prof, 11)]
-    assert vals == [1, 3, 5, 7]
-
-
-def test_enumerate_decompositions_recompose():
-    prof = make_profile(smooth_log_cap=Fraction(3), cap_e2=2, cap_el=1,
-                        lpart_candidates=(1, 3))
-    out = enumerate_candidates(prof, 11)
-    assert len(out) == len({v for v, _ in out})  # duplicate-free
-    for value, dec in out:
-        assert dec.value() == value
-        assert math.gcd(dec.smooth, 2 * dec.l) == 1
+def test_enumerate_every_slot_with_missing_caps_at_zero():
+    assert enumerate_candidates({"smooth": 7, "l": 13}) == [7]
+    spec = {"smooth": 5, "l": 11, "e2_cap": 1, "e3_cap": 1, "el_cap": 1,
+            "lparts": [1, 3]}
+    assert enumerate_candidates(spec) == sorted(
+        5 * 2**e2 * 3**e3 * 11**el * lp**11
+        for e2 in (0, 1) for e3 in (0, 1) for el in (0, 1) for lp in (1, 3))
 
 
-def test_enumerate_requires_finiteness():
-    prof = make_profile(smooth_log_cap=None)
-    with pytest.raises(ValueError):
-        enumerate_candidates(prof, 11)
-    assert enumerate_candidates(prof, 11, smooth_limit=3)
+def test_enumerate_values_spec_is_sorted_and_duplicate_free():
+    assert enumerate_candidates({"values": [9, 2, "5", 9, 1]}) == [1, 2, 5, 9]
+
+
+@pytest.mark.parametrize("module", ["gfekit.catalog", "gfekit.search"])
+def test_catalog_and_search_load_no_log_code(module):
+    code = (f"import sys, {module}\n"
+            "print(sorted(m for m in ('mpmath', 'gfekit.linlog', 'gfekit.structure')"
+            " if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
+    assert out.strip() == "[]"
 
 
 def naive_box_check(xs, r, ys, s, t_set, *, unit_root=False):
@@ -155,14 +145,13 @@ def _records(recs):
     ([0], [1, 3]),
     ([-5, 2], [1, 3]),
     ([2, 3], [1, 0]),
-    ([(0, None)], [1]),
 ])
 def test_check_pair_rejects_nonpositive_candidates(xs, ys):
     with pytest.raises(ValueError):
         check_pair(xs, 2, ys, 3, {2, 3}, allow_unit_root=True)
 
 
-@pytest.mark.parametrize("ys", [[0], [3, -1], [(0, None)]])
+@pytest.mark.parametrize("ys", [[0], [3, -1]])
 def test_check_power_tail_rejects_nonpositive_candidates(ys):
     with pytest.raises(ValueError):
         check_power_tail(ys, 5, {4}, range(70, 75))
@@ -233,7 +222,7 @@ def test_check_pair_equals_naive_when_t_has_no_residue_prime():
 ])
 def test_check_pair_equals_naive_on_plan_shaped_box(r, s, t_set):
     # values 2^a 3^b 7^c, as a campaign spec expands them
-    vals = _expand_spec({"smooth": 1, "l": 7, "e2_cap": 6, "e3_cap": 6,
+    vals = enumerate_candidates({"smooth": 1, "l": 7, "e2_cap": 6, "e3_cap": 6,
                          "el_cap": 2, "lparts": [1]})
     expected = naive_box_check(vals, r, vals, s, t_set)
     assert expected
@@ -242,7 +231,7 @@ def test_check_pair_equals_naive_on_plan_shaped_box(r, s, t_set):
 
 def test_check_pair_equals_naive_on_a_p3_task():
     params = build_p3_plan(4, 5, 5, box_limit=20).tasks[0].params
-    xs, ys = _expand_spec(params["a"]), _expand_spec(params["b"])
+    xs, ys = enumerate_candidates(params["a"]), enumerate_candidates(params["b"])
     got = _records(check_pair(xs, params["r"], ys, params["s"], params["t_set"]))
     assert got == naive_box_check(xs, params["r"], ys, params["s"], params["t_set"])
 
