@@ -28,6 +28,11 @@ closure, the family members whose n is a multiple of a modulus;
 ``expected_counts`` holds the published count per mode (ge4, beal) and
 ``notes`` the rule notes that discrepancy reports quote. load_registry
 raises ValueError on a missing section or key and on any other kind.
+
+Each closure's ledger and the two rule matchers that both closures and
+status() share are computed once per registry per process: count_remaining
+builds a fresh CountResult from the cached closure on every call, and
+set_registry_path clears every cache.
 """
 
 from __future__ import annotations
@@ -150,8 +155,8 @@ _REGISTRY_PATH: list[str | None] = [None]
 def set_registry_path(path: str | None) -> None:
     """Point the catalog at an alternative registry file (None = shipped)."""
     _REGISTRY_PATH[0] = path
-    load_registry.cache_clear()
-    _solved.cache_clear()
+    for cached in _REGISTRY_CACHES:
+        cached.cache_clear()
 
 
 # The schema above, per section: the entry label in errors, the default kind,
@@ -208,6 +213,7 @@ def _without(canon: tuple[int, int, int], entries: list[int]) -> list[int] | Non
     return rest
 
 
+@lru_cache(maxsize=None)
 def _base_rule_match(canon: tuple[int, int, int]) -> str | None:
     for rule in load_registry()["solved_rules"]:
         kind = rule["kind"]
@@ -253,6 +259,7 @@ def _family_reading(fam: dict, canon: tuple[int, int, int]
     return (tuple(fixed), n) if inside else None
 
 
+@lru_cache(maxsize=None)
 def _remaining_clause(canon: tuple[int, int, int]) -> str | None:
     for fam in load_registry()["remaining_families"]:
         if _family_reading(fam, canon) is not None:
@@ -451,19 +458,33 @@ def count_remaining(mode: str, *, use_exclusions: bool = True,
         raise ValueError(f"mode must be ge4|beal, got {mode!r}")
     if closure not in ("full", "published"):
         raise ValueError(f"closure must be full|published, got {closure!r}")
-    floor = floors[mode]
+    ledger, excluded, digest = _closure(floors[mode], closure, use_exclusions)
+    expected = load_registry()["expected_counts"][mode]
+    return CountResult(
+        mode=mode, count=len(ledger), expected=expected, ledger=list(ledger),
+        excluded=[{"signature": list(canon), "citation": cite}
+                  for canon, cite in excluded],
+        ledger_hash=digest, closure=closure,
+    )
+
+
+@lru_cache(maxsize=None)
+def _closure(floor: int, closure: str, use_exclusions: bool) -> tuple[tuple, tuple, str]:
+    """(ledger, (canon, citation) exclusions, ledger hash) of one closure at
+    one floor; immutable, since every count_remaining call shares it."""
     ledger: list[tuple[int, int, int]] = []
-    excluded: list[dict] = []
+    excluded: list[tuple[tuple[int, int, int], str]] = []
     exclusion = _full_exclusion if closure == "full" else _published_exclusion
     for canon in _in_range_candidates(floor):
         cite = exclusion(canon) if use_exclusions else None
         if cite is None:
             ledger.append(canon)
         else:
-            excluded.append({"signature": list(canon), "citation": cite})
+            excluded.append((canon, cite))
     digest = hashlib.sha256(json.dumps(ledger).encode()).hexdigest()
-    expected = load_registry()["expected_counts"][mode]
-    return CountResult(
-        mode=mode, count=len(ledger), expected=expected,
-        ledger=ledger, excluded=excluded, ledger_hash=digest, closure=closure,
-    )
+    return tuple(ledger), tuple(excluded), digest
+
+
+# Every cache that depends on the registry; set_registry_path clears them all.
+_REGISTRY_CACHES = (load_registry, _solved, _base_rule_match, _remaining_clause,
+                    _closure)

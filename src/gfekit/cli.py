@@ -385,10 +385,14 @@ def command_dispatch(argv=None) -> int:
             CheckpointMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, ConfigFileError) as exc:
+    except (OSError, ConfigFileError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
     sys.exit(command_dispatch())
+
+
+if __name__ == "__main__":
+    main()

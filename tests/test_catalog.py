@@ -198,3 +198,39 @@ def test_set_registry_path_switches_and_restores(tmp_path):
     result = count_remaining("ge4")
     assert (result.count, result.ledger_hash) == COUNT_PINS["ge4", "full"]
     assert status(Signature(4, 5, 11)).state is State.REMAINING
+
+
+def test_set_registry_path_clears_warm_closures(tmp_path):
+    count_remaining("ge4")
+    count_remaining("beal", closure="published")  # warm every catalog cache
+    reg = load_registry()
+    # Drop a remaining family and a solved rule, so that a stale closure or a
+    # stale matcher of either kind changes a count.
+    edited = dict(
+        reg,
+        remaining_families=[f for f in reg["remaining_families"] if f["id"] != "f-45n"],
+        solved_rules=[r for r in reg["solved_rules"]
+                      if not (r["kind"] == "aan" and r["fixed"] == 3)])
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps(edited))
+    set_registry_path(str(path))
+    try:
+        assert count_remaining("ge4").count == 148
+        assert count_remaining("beal", closure="published").count == 2388
+    finally:
+        set_registry_path(None)
+    for (mode, closure), pin in COUNT_PINS.items():
+        result = count_remaining(mode, closure=closure)
+        assert (result.count, result.ledger_hash) == pin
+
+
+def test_count_result_mutation_does_not_reach_the_next_result():
+    first = count_remaining("beal", closure="published")
+    first.ledger.append((3, 3, 3))
+    first.excluded[0]["citation"] = "edited"
+    first.excluded[0]["signature"].append(99)
+    again = count_remaining("beal", closure="published")
+    assert (again.count, again.ledger_hash) == COUNT_PINS["beal", "published"]
+    assert len(again.ledger) == again.count
+    assert again.excluded[0]["citation"] != "edited"
+    assert len(again.excluded[0]["signature"]) == 3

@@ -1,9 +1,14 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gfekit.campaign import CampaignPlan, explicit_box_task
-from gfekit.catalog import load_registry, set_registry_path
+from gfekit.catalog import _closure, load_registry, set_registry_path
 from gfekit.cli import command_dispatch
 
 
@@ -38,6 +43,37 @@ def test_count_beal_mentions_discrepancy(capsys):
     if not payload["matches_expected"]:
         assert "discrepancy" in payload
         assert payload["discrepancy"]["expected"] == 2446
+
+
+# SHA-256 of the stdout of `--json count beal --ledger F` and of the file F.
+COUNT_BEAL_STDOUT = "122c331696938bd204ebe2d8203738f2e6678365cd4da6c13d008e86e21b92f8"
+COUNT_BEAL_LEDGER = "183c65851b00a9ed66b29f16c77e4761400a2fc4b4ff13c835a796c87962545d"
+
+
+def test_count_beal_ledger_bytes_pinned(capsys, tmp_path):
+    ledger = tmp_path / "ledger.json"
+    code, out, _ = run(capsys, "--json", "count", "beal", "--ledger", str(ledger))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COUNT_BEAL_STDOUT
+    assert hashlib.sha256(ledger.read_bytes()).hexdigest() == COUNT_BEAL_LEDGER
+
+
+def test_count_beal_ledger_computes_each_closure_once(capsys, tmp_path):
+    set_registry_path(None)  # start from cold catalog caches
+    code, _, _ = run(capsys, "count", "beal", "--ledger", str(tmp_path / "ledger.json"))
+    assert code == 0
+    assert _closure.cache_info().misses == 2  # the full and the published closure
+
+
+@pytest.mark.parametrize("module", ["gfekit", "gfekit.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", module, "count", "ge4"],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "244\n"
 
 
 def test_curve_and_dataset(capsys):
@@ -118,6 +154,13 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
     code, _, err = run(capsys, "search", "/nonexistent/plan.json")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [("count", "ge4", "--ledger"), ("search",)])
+def test_directory_as_path_is_config_error(capsys, tmp_path, argv):
+    code, _, err = run(capsys, *argv, str(tmp_path))
+    assert code == 2
+    assert err.startswith("configuration error:")
 
 
 @pytest.mark.parametrize("text", [
