@@ -6,7 +6,7 @@ Submodules:
               integer roots, certified factorization)
   linlog      certified comparison of rational combinations of prime logs
   freycurves  the four Frey-Hellegouarch curve families and their invariants
-  ramification  ramification datasets, index bounds, log-volume tables
+  ramification  ramification datasets, the log-volume table, a2 tables, a1/a4 formula
   bounds      bound configurations, the inequality chain, interval elimination
   structure   decomposition caps, classification tables, exponent sieves
   search      candidate enumeration, exact box checks, the small-z scan

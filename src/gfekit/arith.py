@@ -224,9 +224,6 @@ class FactoredInteger:
                 return e
         return 0
 
-    def is_one(self) -> bool:
-        return not self._factors
-
     def __mul__(self, other: "FactoredInteger") -> "FactoredInteger":
         out = dict(self._factors)
         for p, e in other._factors:

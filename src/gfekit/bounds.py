@@ -21,7 +21,7 @@ from fractions import Fraction
 from .arith import FactoredInteger, factor, k_full_part, radical
 from .freycurves import FreyFamily
 from .linlog import LinLog, log_atom, log_of_int
-from .ramification import VolNotConfigured, VolTable, vol_lookup
+from .ramification import VolNotConfigured, VolTable, default_profile, vol_lookup
 
 __all__ = [
     "BoundConfig",
@@ -77,14 +77,6 @@ class BoundConfig:
     @property
     def n(self) -> int:
         return len(self.s_primes)
-
-
-def default_profile(l: int, e0: int) -> tuple[Fraction, Fraction]:
-    """The optional-block coefficient pair (a1(l), a4(l)) for base index e0."""
-    rho = Fraction(l * l + 5 * l, l * l + l - 12)
-    a1 = rho * (1 - Fraction(1, e0 * l))
-    a4 = rho * Fraction(1, e0) * (1 - Fraction(1, l))
-    return a1, a4
 
 
 def make_config(

@@ -342,7 +342,7 @@ class CountResult:
     ledger: list[tuple[int, int, int]]
     excluded: list[dict]
     ledger_hash: str
-    closure: str = "full"
+    closure: str = "full"  # "full", "published", or "none" without exclusions
 
     @property
     def matches_expected(self) -> bool:
@@ -353,13 +353,14 @@ class CountResult:
 
         Enumerates the delta signatures between the full reduction closure
         and the weaker published-rules closure, each with its citation, so
-        the divergence from the published count is fully auditable.
+        the divergence from the published count is fully auditable. Both
+        closures are the real ones whatever this result's own closure is.
         """
         if self.matches_expected:
             return None
-        other = count_remaining(self.mode, closure="published") \
-            if self.closure == "full" else count_remaining(self.mode, closure="full")
-        full, published = (self, other) if self.closure == "full" else (other, self)
+        full = self if self.closure == "full" else count_remaining(self.mode)
+        published = self if self.closure == "published" \
+            else count_remaining(self.mode, closure="published")
         pub_set = set(published.ledger)
         delta = [
             {"signature": list(c), "citation": e["citation"]}
@@ -451,7 +452,8 @@ def count_remaining(mode: str, *, use_exclusions: bool = True,
     recursive multi-exponent reduction closure (strictest, the default);
     closure="published" applies only the shipped modulus lists plus
     one-step reductions of the family parameter. use_exclusions=False skips
-    exclusions entirely, which strictly enlarges the ledger.
+    exclusions entirely, which strictly enlarges the ledger; the result's
+    closure then reads "none".
     """
     floors = {"ge4": 4, "beal": 3}
     if mode not in floors:
@@ -464,7 +466,7 @@ def count_remaining(mode: str, *, use_exclusions: bool = True,
         mode=mode, count=len(ledger), expected=expected, ledger=list(ledger),
         excluded=[{"signature": list(canon), "citation": cite}
                   for canon, cite in excluded],
-        ledger_hash=digest, closure=closure,
+        ledger_hash=digest, closure=closure if use_exclusions else "none",
     )
 
 

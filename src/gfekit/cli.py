@@ -20,7 +20,7 @@ from .campaign import (CampaignPlan, CheckpointMismatch, run_campaign)
 from .catalog import Signature, classify_chi, count_remaining, known_solutions, status
 from .freycurves import FreyFamily, InvalidTriple, invariants
 from .linlog import PrecisionExhausted
-from .ramification import VolNotConfigured, VolTable, dataset, default_vol_table
+from .ramification import VolNotConfigured, VolTable, dataset
 from .search import small_z1_scan
 from .structure import structure_profile
 
@@ -77,7 +77,7 @@ def load_config(path: str | None) -> dict:
 
 
 def vol_table_from_config(cfg: dict) -> VolTable:
-    table = default_vol_table()
+    table = VolTable()
     for i, entry in enumerate(cfg.get("vol_tables") or []):
         try:
             key = (entry["family"], entry["kind"], entry["l"], entry.get("q"))
@@ -97,7 +97,7 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args, cfg: dict) -> int:
     sig = Signature(args.r, args.s, args.t)
     cls = classify_chi(sig)
     st = status(sig)
@@ -107,7 +107,7 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_curve(args) -> int:
+def _cmd_curve(args, cfg: dict) -> int:
     family = _FAMILY_ALIASES[args.family.lower()]
     inv = invariants(family, args.a, args.b, args.c)
     payload = {
@@ -123,7 +123,7 @@ def _cmd_curve(args) -> int:
     return 0
 
 
-def _cmd_dataset(args) -> int:
+def _cmd_dataset(args, cfg: dict) -> int:
     family = _FAMILY_ALIASES[args.family.lower()]
     ds = dataset(family, args.kind, args.l, args.q)
     payload = {
@@ -141,8 +141,7 @@ def _cmd_dataset(args) -> int:
     return 0
 
 
-def _cmd_bounds(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_bounds(args, cfg: dict) -> int:
     tables = vol_table_from_config(cfg)
     exps = tuple(args.exponents)
     built = scenario(
@@ -163,7 +162,7 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _cmd_profile(args) -> int:
+def _cmd_profile(args, cfg: dict) -> int:
     exps = tuple(args.exponents)
     case = {2: "threers", 3: "general", 1: "twothree"}[len(exps)]
     if args.family:
@@ -200,8 +199,7 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_search(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_search(args, cfg: dict) -> int:
     plan = CampaignPlan.load(args.planfile)
     max_tasks = (cfg.get("search_budget") or {}).get("max_tasks")
     if max_tasks is not None and len(plan.tasks) > max_tasks:
@@ -221,7 +219,7 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args, cfg: dict) -> int:
     records = small_z1_scan(args.z1_bound, args.t_max, args.height)
     payload = {"records": [r.as_dict() for r in records],
                "identities": [r.identity() for r in records]}
@@ -230,7 +228,7 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _cmd_verify_known(args) -> int:
+def _cmd_verify_known(args, cfg: dict) -> int:
     from .catalog import CatalanFamily
 
     lines, items = [], []
@@ -254,7 +252,7 @@ def _cmd_verify_known(args) -> int:
     return 0
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args, cfg: dict) -> int:
     result = count_remaining(args.mode, closure=args.closure)
     if args.ledger:
         with open(args.ledger, "w") as fh:
@@ -379,7 +377,7 @@ def command_dispatch(argv=None) -> int:
             except json.JSONDecodeError as exc:
                 raise ConfigFileError(
                     f"registry {cfg['registry_path']} is not valid JSON: {exc}") from exc
-        return args.fn(args)
+        return args.fn(args, cfg)
     except (InvalidTriple, ValueError, VolNotConfigured, ConfigError,
             FactorizationBudgetExceeded, PrecisionExhausted,
             CheckpointMismatch) as exc:

@@ -1,11 +1,13 @@
-"""Ramification datasets and ramification-index bound tables.
+"""Ramification datasets, log-volume tables and the coefficient formulas.
 
 The datasets are transcribed listings: per-prime sets of admissible
 ramification indices for the torsion-field towers built over each Frey
-family, with the auxiliary primes l (and q) substituted in. The log-volume
-constants attached to a dataset are external configuration; the only numbers
-the source publishes are per-lemma aggregate tables a2(p), shipped here with
-provenance strings.
+family, with the auxiliary primes l (and q) substituted in; they are the one
+copy of those indices. The log-volume constants attached to a dataset are
+external configuration (VolTable starts empty); the only numbers the source
+publishes are per-lemma aggregate tables a2(p), which the structure caps and
+campaign plans read from A2_TABLES. default_profile holds the one a1/a4
+formula that both the bound configurations and the structure lemmas use.
 """
 
 from __future__ import annotations
@@ -18,13 +20,12 @@ from .freycurves import FreyFamily
 
 __all__ = [
     "RamificationDataset",
-    "RamIndexBound",
     "VolTable",
     "VolNotConfigured",
     "dataset",
-    "ram_index_bound",
     "vol_lookup",
     "A2_TABLES",
+    "default_profile",
     "a1_coefficient",
 ]
 
@@ -133,168 +134,14 @@ def dataset(family: FreyFamily, kind: int, l: int, q: int | None = None) -> Rami
 
 
 # ---------------------------------------------------------------------------
-# Ramification-index bounds at corollary level.
-
-
-@dataclass(frozen=True)
-class RamIndexBound:
-    p: int
-    context: str
-    exact: frozenset[int] | None = None
-    divides: int | None = None
-
-    def admits(self, e: int) -> bool:
-        if self.exact is not None:
-            return e in self.exact
-        return self.divides % e == 0
-
-
-# Torsion-field selectors per family; "default" is the first listed.
-FIELD_CHOICES = {
-    FreyFamily.GENERAL_ABC: ("Q(i,E[3])", "Q(i)"),
-    FreyFamily.TWO_THREE: ("Q(E[12])", "Q(i,E[2q])"),
-    FreyFamily.THREE_RS: ("Q(E[12])", "Q(E[4])"),
-    FreyFamily.TWO_RS: ("Q(i,E[6])",),
-}
-
-
-def ram_index_bound(
-    family: FreyFamily,
-    p: int,
-    reduction: str,
-    l: int,
-    q: int | None = None,
-    field: str | None = None,
-) -> RamIndexBound:
-    """Bound on the ramification index over p of the torsion tower.
-
-    reduction is "good" (p does not divide the j-denominator) or
-    "multiplicative" (p divides it). Returns either an exact candidate set
-    or a "divides D" constraint, both straight from the covering corollary.
-    """
-    if reduction not in ("good", "multiplicative"):
-        raise ValueError(f"reduction must be good|multiplicative, got {reduction!r}")
-    good = reduction == "good"
-    field = field or FIELD_CHOICES[family][0]
-    ctx = f"{family.name}, F={field}, l={l}" + (f", q={q}" if q else "")
-    lset = frozenset({l - 1, l * (l - 1), l * l - 1})
-
-    def out(exact=None, divides=None):
-        return RamIndexBound(p, ctx, exact=exact, divides=divides)
-
-    if family is FreyFamily.GENERAL_ABC and field == "Q(i,E[3])":
-        if good:
-            if p == 2:
-                return out(exact=frozenset({2}))
-            if p == 3:
-                return out(exact=frozenset({2, 6, 8}))
-            if p == l:
-                return out(exact=lset)
-            return out(exact=frozenset({1}))
-        if p == 2 or p == 3:
-            return out(divides=6 * l)
-        if p == l:
-            return out(divides=3 * l * (l - 1))
-        return out(divides=3 * l)
-
-    if family is FreyFamily.GENERAL_ABC and field == "Q(i)":
-        if good:
-            if p == 2:
-                return out(exact=frozenset({2}))
-            if p == l:
-                return out(exact=lset)
-            return out(exact=frozenset({1}))
-        if p == 2:
-            return out(divides=2 * l)
-        if p == l:
-            return out(divides=l * (l - 1))
-        return out(divides=l)
-
-    if field == "Q(E[12])" and family in (FreyFamily.TWO_THREE, FreyFamily.THREE_RS):
-        if good:
-            if p == 2:
-                return out(divides=2**8 * 3**2)
-            if p == 3:
-                return out(divides=2**6 * 3**2)
-            if p == l:
-                return out(exact=lset)
-            return out(exact=frozenset({1}))
-        if p == 2:
-            return out(divides=24 * l)
-        if p == 3:
-            return out(divides=48 * l)
-        if p == l:
-            return out(divides=12 * l * (l - 1))
-        return out(divides=12 * l)
-
-    if family is FreyFamily.TWO_THREE and field == "Q(i,E[2q])":
-        if q is None:
-            raise ValueError("field Q(i,E[2q]) needs the prime q")
-        if good:
-            if p == 2:
-                return out(divides=2**5 * 3**2)
-            if p == q:
-                return out(exact=frozenset({q - 1, q * (q - 1), q * q - 1}))
-            if p == l:
-                return out(exact=lset)
-            return out(exact=frozenset({1}))
-        if p == 2:
-            return out(divides=8 * q * l)
-        if p == q:
-            return out(divides=2 * q * l * (q - 1))
-        if p == l:
-            return out(divides=2 * l * (l - 1))
-        return out(divides=2 * q * l)
-
-    if family is FreyFamily.THREE_RS and field == "Q(E[4])":
-        if good:
-            if p == 2:
-                return out(divides=96)
-            if p == 3:
-                return out(divides=12)
-            if p == l:
-                return out(exact=lset)
-            return out(exact=frozenset({1}))
-        if p == 2 or p == 3:
-            return out(divides=8 * l)
-        if p == l:
-            return out(divides=4 * l * (l - 1))
-        return out(divides=4 * l)
-
-    if family is FreyFamily.TWO_RS and field == "Q(i,E[6])":
-        if good:
-            if p == 2:
-                return out(divides=2**5 * 3**2)
-            if p == 3:
-                return out(divides=2**6 * 3**2)
-            if p == l:
-                return out(exact=lset)
-            return out(exact=frozenset({1}))
-        if p == 2:
-            return out(divides=24 * l)
-        if p == 3:
-            return out(divides=12 * l)
-        if p == l:
-            return out(divides=6 * l * (l - 1))
-        return out(divides=6 * l)
-
-    raise ValueError(f"no index bound covers ({family.name}, field {field!r})")
-
-
-# ---------------------------------------------------------------------------
-# Log-volume configuration and the published aggregate tables.
+# Log-volume configuration, the published a2 tables and the a1 coefficients.
 
 
 @dataclass
 class VolTable:
-    """Raw log-volume enclosures per dataset key, plus aggregate a2 tables.
-
-    Raw entries and aggregates never substitute for each other silently;
-    a missing key is an error.
-    """
+    """Raw log-volume enclosures per dataset key; a missing key is an error."""
 
     raw: dict[tuple, Fraction] = field(default_factory=dict)
-    aggregates: dict[str, dict[int, Fraction]] = field(default_factory=dict)
     provenance: dict[str, str] = field(default_factory=dict)
 
     def set_raw(self, key: tuple, value: Fraction, provenance: str = "user-supplied") -> None:
@@ -312,64 +159,44 @@ def vol_lookup(table: VolTable, key: tuple) -> Fraction:
     return table.raw[key]
 
 
-def aggregate_lookup(table: VolTable, lemma: str, p: int) -> Fraction:
-    agg = table.aggregates.get(lemma)
-    if agg is None or p not in agg:
-        raise VolNotConfigured(f"a2 aggregate not configured for ({lemma}, {p})")
-    return agg[p]
-
-
-def _frac(x: str) -> Fraction:
-    return Fraction(x)
-
-
 # Published aggregate bounds a2(p), keyed by the deriving lemma. The two
 # general-family tables differ only at p=23 (91.1 vs 92); both are kept.
 A2_TABLES: dict[str, dict[int, Fraction]] = {
-    "general-2tor": {11: _frac("71"), 13: _frac("74"), 17: _frac("80"),
-                     19: _frac("84"), 23: _frac("91.1")},
-    "general-2tor-alt": {11: _frac("71"), 13: _frac("74"), 17: _frac("80"),
-                         19: _frac("84"), 23: _frac("92")},
-    "general-mu6": {17: _frac("156"), 19: _frac("164"), 23: _frac("182"),
-                    29: _frac("210"), 31: _frac("219"), 37: _frac("248")},
-    "threers-2tor": {17: _frac("403"), 19: _frac("425"), 23: _frac("472"),
-                     29: _frac("544"), 31: _frac("578")},
-    "threers-mu6": {17: _frac("978"), 19: _frac("1041"), 23: _frac("1178"),
-                    29: _frac("1389"), 31: _frac("1475")},
-}
-
-A2_PROVENANCE = {
-    "general-2tor": "general family, datasets 3/4 (x_l classification and l-part caps)",
-    "general-2tor-alt": "general family, datasets 3/4, joint-bound restatement",
-    "general-mu6": "general family, datasets 1/2 (2-adic valuation caps)",
-    "threers-2tor": "cube family, datasets 2/3 (smooth/3-part/l-part caps)",
-    "threers-mu6": "cube family, dataset 1 (2-adic valuation caps)",
+    "general-2tor": {11: Fraction("71"), 13: Fraction("74"), 17: Fraction("80"),
+                     19: Fraction("84"), 23: Fraction("91.1")},
+    "general-2tor-alt": {11: Fraction("71"), 13: Fraction("74"), 17: Fraction("80"),
+                         19: Fraction("84"), 23: Fraction("92")},
+    "general-mu6": {17: Fraction("156"), 19: Fraction("164"), 23: Fraction("182"),
+                    29: Fraction("210"), 31: Fraction("219"), 37: Fraction("248")},
+    "threers-2tor": {17: Fraction("403"), 19: Fraction("425"), 23: Fraction("472"),
+                     29: Fraction("544"), 31: Fraction("578")},
+    "threers-mu6": {17: Fraction("978"), 19: Fraction("1041"), 23: Fraction("1178"),
+                    29: Fraction("1389"), 31: Fraction("1475")},
 }
 
 
-def default_vol_table() -> VolTable:
-    """Aggregate-only table; raw Vol entries are never published."""
-    table = VolTable(aggregates={k: dict(v) for k, v in A2_TABLES.items()},
-                     provenance=dict(A2_PROVENANCE))
-    return table
+def default_profile(l: int, e0: int) -> tuple[Fraction, Fraction]:
+    """The optional-block coefficient pair (a1(l), a4(l)) for base index e0."""
+    rho = Fraction(l * l + 5 * l, l * l + l - 12)
+    a1 = rho * (1 - Fraction(1, e0 * l))
+    a4 = rho * Fraction(1, e0) * (1 - Fraction(1, l))
+    return a1, a4
+
+
+# (lam, e0) of each structure-lemma a1 table; the general family halves
+# lambda = 6.
+_A1_PARAMS = {
+    "general-2tor": (3, 1),
+    "general-2tor-alt": (3, 1),
+    "general-mu6": (3, 3),
+    "threers-2tor": (6, 4),
+    "threers-mu6": (6, 12),
+}
 
 
 def a1_coefficient(kind: str, p: int) -> Fraction:
-    """Exact a1(p) coefficient used by the structure lemmas.
-
-    kind selects the dataset blend: the factor is
-    lam * (p^2+5p)/(p^2+p-12) * (1 - 1/(e0*p)) with (lam, e0) per table.
-    """
-    rho = Fraction(p * p + 5 * p, p * p + p - 12)
-    params = {
-        "general-2tor": (3, 1),      # halved lambda=6, e0=1
-        "general-2tor-alt": (3, 1),
-        "general-mu6": (3, 3),       # halved lambda=6, e0=3
-        "threers-2tor": (6, 4),
-        "threers-mu6": (6, 12),
-        "twothree-2tor": (6, 2),
-    }
-    if kind not in params:
+    """Exact a1(p) of a structure-lemma table: lam * default_profile(p, e0)[0]."""
+    if kind not in _A1_PARAMS:
         raise ValueError(f"unknown a1 coefficient table {kind!r}")
-    lam, e0 = params[kind]
-    return lam * rho * (1 - Fraction(1, e0 * p))
+    lam, e0 = _A1_PARAMS[kind]
+    return lam * default_profile(p, e0)[0]

@@ -65,7 +65,6 @@ _GENERAL_POOL = tuple(sorted(_GENERAL_TABLE))
 _THREERS_TABLE = A2_TABLES["threers-2tor"]
 _THREERS_MU6 = A2_TABLES["threers-mu6"]
 
-_A1_SUP_GENERAL = Fraction(4)          # 3 < a1(p) <= 4 on the 2-torsion table
 _A1_SUP_THREERS = Fraction(76, 10)     # 6 < a1(p) < 7.6 on the cube tables
 
 

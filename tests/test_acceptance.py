@@ -17,7 +17,7 @@ from gfekit.campaign import build_p3_plan, CampaignPlan, explicit_box_task, run_
 from gfekit.catalog import CatalanFamily, count_remaining, known_solutions
 from gfekit.freycurves import FreyFamily, invariants, weierstrass_coefficients
 from gfekit.linlog import LinLog
-from gfekit.ramification import VolNotConfigured, default_vol_table
+from gfekit.ramification import VolNotConfigured, VolTable
 from gfekit.search import check_pair, small_z1_scan
 from gfekit.structure import (
     general_rl_product_cap,
@@ -130,7 +130,7 @@ def test_acceptance_4_paper_constant_regressions():
     # published; the sub-check is reported as skipped with the reason.
     try:
         cfg = scenario("general", (8, 8, 8), "a", s_primes=(11, 13), k=2,
-                       tables=default_vol_table())
+                       tables=VolTable())
         forbidden_interval(cfg)
         hbound_note = "h-bound table: ran"
     except VolNotConfigured as exc:

@@ -24,7 +24,7 @@ from gfekit.linlog import (
     log_bounds,
     set_precision,
 )
-from gfekit.ramification import VolNotConfigured, VolTable, default_vol_table
+from gfekit.ramification import VolNotConfigured, VolTable
 from tests.conftest import synthetic_config
 
 

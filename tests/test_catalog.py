@@ -172,6 +172,17 @@ def test_count_without_exclusions_pin():
         6249, "18cc5c80de9086ed6053464bf5cf70993147dea7079c32f2543016da67c0f3ff")
 
 
+def test_no_exclusion_result_reports_the_real_closures():
+    raw = count_remaining("beal", use_exclusions=False)
+    assert raw.closure == "none"
+    report = raw.discrepancy_report()
+    assert (report["closure"], report["computed"]) == ("none", 6249)
+    assert (report["full_closure_count"], report["published_rules_count"]) == (2420, 2444)
+    full = count_remaining("beal").discrepancy_report()
+    assert report["delta_signatures"] == full["delta_signatures"]
+    assert len(report["delta_signatures"]) == 24
+
+
 def test_status_sweep_pin():
     # state and provenance of every canonical triple with entries in 2..60
     rows = [[list(canon), st.state.value, st.provenance]

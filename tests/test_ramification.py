@@ -5,20 +5,20 @@ import pytest
 from gfekit.freycurves import FreyFamily
 from gfekit.ramification import (
     A2_TABLES,
-    RamIndexBound,
     VolNotConfigured,
     VolTable,
     a1_coefficient,
-    aggregate_lookup,
     dataset,
-    default_vol_table,
-    ram_index_bound,
     vol_lookup,
 )
 
 G = FreyFamily.GENERAL_ABC
 TT = FreyFamily.TWO_THREE
 RS = FreyFamily.THREE_RS
+
+# Every (family, kind) that dataset() catalogs, with the q it needs.
+DATASETS = ((G, 1, None), (G, 2, None), (G, 3, None), (G, 4, None),
+            (TT, 1, None), (TT, 2, 5), (RS, 1, None), (RS, 2, None), (RS, 3, None))
 
 
 # Golden transcriptions of the catalog listings at l = 11 (and q = 5).
@@ -94,63 +94,46 @@ def test_dataset_rejects_uncatalogued_combinations():
         dataset(TT, 2, 11, 11)  # l | q(q^2-1)
 
 
-def test_ram_index_bound_examples():
-    b = ram_index_bound(G, 2, "good", 11)
-    assert b.exact == {2}
-    b = ram_index_bound(G, 7, "multiplicative", 11)
-    assert b.divides == 33
-    b = ram_index_bound(RS, 3, "multiplicative", 13, field="Q(E[4])")
-    assert b.divides == 104
-    b = ram_index_bound(G, 11, "good", 11)
-    assert b.exact == {10, 110, 120}
-    b = ram_index_bound(TT, 5, "good", 11, q=5, field="Q(i,E[2q])")
-    assert b.exact == {4, 20, 24}
-    with pytest.raises(ValueError):
-        ram_index_bound(G, 7, "additive", 11)
-
-
-def test_exact_sets_divide_the_coarse_bounds():
-    # Members of each exact l-set divide #GL(2, Z/lZ) = l(l-1)^2(l+1), and
-    # good-reduction sets sit inside the multiplicative divisor bounds.
-    for l in (11, 13, 17, 19, 23):
-        gl2 = l * (l - 1) ** 2 * (l + 1)
-        for fam, field in ((G, "Q(i,E[3])"), (RS, "Q(E[4])"), (TT, "Q(E[12])")):
-            if fam is not G and l == 13:
+def test_datasets_list_every_catalog_entry():
+    found = set()
+    for fam in FreyFamily:
+        for kind in range(6):
+            try:
+                dataset(fam, kind, 11, 5)
+            except ValueError:
                 continue
-            exact = ram_index_bound(fam, l, "good", l, field=field).exact
-            mult = ram_index_bound(fam, l, "multiplicative", l, field=field).divides
-            for e in exact:
-                assert gl2 % e == 0
-                assert mult % (l - 1) == 0 and e % (l - 1) == 0
-    b_good = ram_index_bound(G, 2, "good", 11)
-    b_mult = ram_index_bound(G, 2, "multiplicative", 11)
-    for e in b_good.exact:
-        assert b_mult.divides % e == 0
+            found.add((fam, kind))
+    assert found == {(fam, kind) for fam, kind, _ in DATASETS}
 
 
 def test_dataset_index_sets_divide_gl2():
-    for l in (11, 17, 23):
-        ds = dataset(G, 1, l)
-        gl2 = l * (l - 1) ** 2 * (l + 1)
-        for e in ds.per_prime[l][0] | ds.per_prime[l][1]:
-            assert gl2 % e == 0
+    # Every index at p = l is a multiple of l - 1 and divides
+    # #GL(2, Z/lZ) = l(l-1)^2(l+1), the order of the mod-l image.
+    for fam, kind, q in DATASETS:
+        for l in (11, 13, 17, 19, 23):
+            if fam is not G and l == 13:
+                continue
+            good, mult = dataset(fam, kind, l, q).per_prime[l]
+            gl2 = l * (l - 1) ** 2 * (l + 1)
+            assert mult
+            for e in good | mult:
+                assert gl2 % e == 0 and e % (l - 1) == 0, (fam, kind, l, e)
 
 
 def test_vol_lookup_contract():
-    table = default_vol_table()
-    assert aggregate_lookup(table, "general-2tor", 11) == 71
-    assert aggregate_lookup(table, "general-2tor", 23) == Fraction("91.1")
-    assert aggregate_lookup(table, "general-2tor-alt", 23) == 92
-    assert aggregate_lookup(table, "threers-2tor", 17) == 403
+    table = VolTable()
     with pytest.raises(VolNotConfigured):
         vol_lookup(table, (G.name, 1, 11, None))
-    with pytest.raises(VolNotConfigured):
-        aggregate_lookup(table, "general-2tor", 29)
     table.set_raw((G.name, 1, 11, None), Fraction(5), "test")
     assert vol_lookup(table, (G.name, 1, 11, None)) == 5
+    assert table.provenance[str((G.name, 1, 11, None))] == "test"
 
 
 def test_a2_tables_match_transcription():
+    assert A2_TABLES["general-2tor"] == {11: 71, 13: 74, 17: 80, 19: 84,
+                                         23: Fraction("91.1")}
+    assert A2_TABLES["general-2tor-alt"] == {11: 71, 13: 74, 17: 80, 19: 84,
+                                             23: 92}
     assert A2_TABLES["general-mu6"] == {17: 156, 19: 164, 23: 182, 29: 210,
                                         31: 219, 37: 248}
     assert A2_TABLES["threers-mu6"][29] == 1389
