@@ -106,6 +106,27 @@ def test_datasets_list_every_catalog_entry():
     assert found == {(fam, kind) for fam, kind, _ in DATASETS}
 
 
+def test_exact_sets_divide_the_coarse_bounds():
+    # Members of each exact good-reduction l-set divide #GL(2, Z/lZ) =
+    # l(l-1)^2(l+1), and good-reduction indices at 2 divide the largest
+    # multiplicative index there (the coarse "divides 6l" bound).
+    for l in (11, 13, 17, 19, 23):
+        gl2 = l * (l - 1) ** 2 * (l + 1)
+        for fam, kind in ((G, 1), (RS, 2), (TT, 1)):
+            if fam is not G and l == 13:
+                continue
+            exact, mult = dataset(fam, kind, l).per_prime[l]
+            assert exact
+            for e in exact:
+                assert gl2 % e == 0
+                assert e % (l - 1) == 0
+            assert all(m % (l - 1) == 0 for m in mult)
+    good2, mult2 = dataset(G, 1, 11).per_prime[2]
+    assert max(mult2) == 6 * 11
+    for e in good2:
+        assert max(mult2) % e == 0
+
+
 def test_dataset_index_sets_divide_gl2():
     # Every index at p = l is a multiple of l - 1 and divides
     # #GL(2, Z/lZ) = l(l-1)^2(l+1), the order of the mod-l image.
