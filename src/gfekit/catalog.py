@@ -29,10 +29,12 @@ closure, the family members whose n is a multiple of a modulus;
 ``notes`` the rule notes that discrepancy reports quote. load_registry
 raises ValueError on a missing section or key and on any other kind.
 
-Each closure's ledger and the two rule matchers that both closures and
-status() share are computed once per registry per process: count_remaining
-builds a fresh CountResult from the cached closure on every call, and
-set_registry_path clears every cache.
+Every reader takes the registry path (None: the shipped file), and every
+cache is keyed on it, so calls against different registries share nothing.
+Each registry file is read once per process, and each closure's ledger and
+the two rule matchers that both closures and status() share are computed
+once per registry: count_remaining builds a fresh CountResult from the
+cached closure on every call.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ __all__ = [
     "count_remaining",
     "CountResult",
     "load_registry",
-    "set_registry_path",
 ]
 
 
@@ -149,16 +150,6 @@ def known_solutions() -> list[SolutionRecord | CatalanFamily]:
 # Registry.
 
 
-_REGISTRY_PATH: list[str | None] = [None]
-
-
-def set_registry_path(path: str | None) -> None:
-    """Point the catalog at an alternative registry file (None = shipped)."""
-    _REGISTRY_PATH[0] = path
-    for cached in _REGISTRY_CACHES:
-        cached.cache_clear()
-
-
 # The schema above, per section: the entry label in errors, the default kind,
 # the keys of every entry, and the further keys of each kind.
 _SCHEMA = {
@@ -193,11 +184,12 @@ def _checked(reg: dict) -> dict:
     return reg
 
 
-@lru_cache(maxsize=1)
-def load_registry() -> dict:
-    """The registry, checked against the schema (ValueError if it fails)."""
-    if _REGISTRY_PATH[0] is not None:
-        with open(_REGISTRY_PATH[0]) as fh:
+@lru_cache(maxsize=None)
+def load_registry(path: str | None = None) -> dict:
+    """The registry file at path (None: the shipped one), checked against the
+    schema (ValueError if it fails)."""
+    if path is not None:
+        with open(path) as fh:
             return _checked(json.load(fh))
     with resources.files("gfekit.data").joinpath("registry.json").open() as fh:
         return _checked(json.load(fh))
@@ -214,8 +206,9 @@ def _without(canon: tuple[int, int, int], entries: list[int]) -> list[int] | Non
 
 
 @lru_cache(maxsize=None)
-def _base_rule_match(canon: tuple[int, int, int]) -> str | None:
-    for rule in load_registry()["solved_rules"]:
+def _base_rule_match(canon: tuple[int, int, int], registry_path: str | None
+                     ) -> str | None:
+    for rule in load_registry(registry_path)["solved_rules"]:
         kind = rule["kind"]
         if kind == "nnn":
             hit = canon[0] == canon[2] and canon[0] >= rule["n_min"]
@@ -260,8 +253,9 @@ def _family_reading(fam: dict, canon: tuple[int, int, int]
 
 
 @lru_cache(maxsize=None)
-def _remaining_clause(canon: tuple[int, int, int]) -> str | None:
-    for fam in load_registry()["remaining_families"]:
+def _remaining_clause(canon: tuple[int, int, int], registry_path: str | None
+                      ) -> str | None:
+    for fam in load_registry(registry_path)["remaining_families"]:
         if _family_reading(fam, canon) is not None:
             return fam["clause"]
     return None
@@ -277,21 +271,21 @@ def _chi_of(canon: tuple[int, int, int]) -> ChiClass:
 
 
 @lru_cache(maxsize=None)
-def _solved(canon: tuple[int, int, int]) -> str | None:
+def _solved(canon: tuple[int, int, int], registry_path: str | None) -> str | None:
     """Citation chain if the signature is solved, else None.
 
     Never called on spherical signatures (they have parametrized solution
     families and prove nothing).
     """
-    base = _base_rule_match(canon)
+    base = _base_rule_match(canon, registry_path)
     if base is not None:
         return base
-    if _remaining_clause(canon) is None:
+    if _remaining_clause(canon, registry_path) is None:
         return "complement of the remaining-signature list"
     for reduced in _reductions(canon):
         if _chi_of(reduced) is ChiClass.SPHERICAL:
             continue
-        sub = _solved(reduced)
+        sub = _solved(reduced, registry_path)
         if sub is not None:
             return f"reduces to {reduced}: {sub}"
     return None
@@ -312,8 +306,9 @@ def _reductions(canon: tuple[int, int, int]):
                     yield red
 
 
-def status(sig: Signature) -> SignatureStatus:
-    """Resolution state of a signature, permutation-invariant."""
+def status(sig: Signature, registry_path: str | None = None) -> SignatureStatus:
+    """Resolution state of a signature, permutation-invariant, under the
+    registry at registry_path (None: the shipped one)."""
     canon = sig.canonical
     chi = _chi_of(canon)
     if chi is ChiClass.SPHERICAL:
@@ -321,10 +316,10 @@ def status(sig: Signature) -> SignatureStatus:
             State.OUT_OF_SCOPE,
             "spherical signature: parametrized solution families exist",
         )
-    cited = _solved(canon)
+    cited = _solved(canon, registry_path)
     if cited is not None:
         return SignatureStatus(State.SOLVED, cited)
-    clause = _remaining_clause(canon)
+    clause = _remaining_clause(canon, registry_path)
     if clause is None:
         raise AssertionError(f"unsolved signature outside every clause: {canon}")
     return SignatureStatus(State.REMAINING, clause)
@@ -343,6 +338,7 @@ class CountResult:
     excluded: list[dict]
     ledger_hash: str
     closure: str = "full"  # "full", "published", or "none" without exclusions
+    registry_path: str | None = None  # the registry counted; not in as_dict
 
     @property
     def matches_expected(self) -> bool:
@@ -358,9 +354,11 @@ class CountResult:
         """
         if self.matches_expected:
             return None
-        full = self if self.closure == "full" else count_remaining(self.mode)
+        full = self if self.closure == "full" \
+            else count_remaining(self.mode, registry_path=self.registry_path)
         published = self if self.closure == "published" \
-            else count_remaining(self.mode, closure="published")
+            else count_remaining(self.mode, closure="published",
+                                 registry_path=self.registry_path)
         pub_set = set(published.ledger)
         delta = [
             {"signature": list(c), "citation": e["citation"]}
@@ -377,7 +375,7 @@ class CountResult:
             "published_rules_count": published.count,
             "full_closure_count": full.count,
             "delta_signatures": delta,
-            "rule_notes": load_registry()["notes"],
+            "rule_notes": load_registry(self.registry_path)["notes"],
             "excluded_in_range": self.excluded,
         }
 
@@ -394,10 +392,10 @@ class CountResult:
         }
 
 
-def _in_range_candidates(floor: int):
+def _in_range_candidates(floor: int, registry_path: str | None):
     """Every canonical signature inside a bounded remaining family."""
     out = set()
-    for fam in load_registry()["remaining_families"]:
+    for fam in load_registry(registry_path)["remaining_families"]:
         kind = fam.get("kind", "pair")
         if kind == "2mn":
             continue  # unbounded, and its minimum exponent is 2
@@ -411,20 +409,22 @@ def _in_range_candidates(floor: int):
     return sorted(out)
 
 
-def _full_exclusion(canon: tuple[int, int, int]) -> str | None:
+def _full_exclusion(canon: tuple[int, int, int], registry_path: str | None
+                    ) -> str | None:
     """Citation excluding canon under the full closure, via status()."""
-    st = status(Signature(*canon))
+    st = status(Signature(*canon), registry_path)
     return None if st.state is State.REMAINING else st.provenance
 
 
-def _published_exclusion(canon: tuple[int, int, int]) -> str | None:
+def _published_exclusion(canon: tuple[int, int, int], registry_path: str | None
+                         ) -> str | None:
     """The weaker published rule set: direct solved-family matches, the
     per-family modulus lists, and a one-step reduction of the family's
     varying exponent alone."""
-    direct = _base_rule_match(canon)
+    direct = _base_rule_match(canon, registry_path)
     if direct is not None:
         return direct
-    reg = load_registry()
+    reg = load_registry(registry_path)
     readings = [r for fam in reg["remaining_families"]
                 for r in [_family_reading(fam, canon)] if r is not None]
     mods = {tuple(m["pair"]): m for m in reg["modulus_exclusions"]}
@@ -436,16 +436,17 @@ def _published_exclusion(canon: tuple[int, int, int]) -> str | None:
             red = tuple(sorted(pair + (d,)))
             if _chi_of(red) is ChiClass.SPHERICAL:
                 continue
-            base = _base_rule_match(red)
+            base = _base_rule_match(red, registry_path)
             if base is not None:
                 return f"parameter reduces to {red}: {base}"
-            if _remaining_clause(red) is None:
+            if _remaining_clause(red, registry_path) is None:
                 return f"parameter reduces to {red}: complement of the remaining list"
     return None
 
 
 def count_remaining(mode: str, *, use_exclusions: bool = True,
-                    closure: str = "full") -> CountResult:
+                    closure: str = "full", registry_path: str | None = None
+                    ) -> CountResult:
     """Count canonical remaining signatures at the mode's exponent floor.
 
     mode "ge4" floors at 4; "beal" floors at 3. closure="full" applies the
@@ -453,40 +454,40 @@ def count_remaining(mode: str, *, use_exclusions: bool = True,
     closure="published" applies only the shipped modulus lists plus
     one-step reductions of the family parameter. use_exclusions=False skips
     exclusions entirely, which strictly enlarges the ledger; the result's
-    closure then reads "none".
+    closure then reads "none". registry_path names the registry to count
+    (None: the shipped one).
     """
     floors = {"ge4": 4, "beal": 3}
     if mode not in floors:
         raise ValueError(f"mode must be ge4|beal, got {mode!r}")
     if closure not in ("full", "published"):
         raise ValueError(f"closure must be full|published, got {closure!r}")
-    ledger, excluded, digest = _closure(floors[mode], closure, use_exclusions)
-    expected = load_registry()["expected_counts"][mode]
+    ledger, excluded, digest = _closure(floors[mode], closure, use_exclusions,
+                                        registry_path)
+    expected = load_registry(registry_path)["expected_counts"][mode]
     return CountResult(
         mode=mode, count=len(ledger), expected=expected, ledger=list(ledger),
         excluded=[{"signature": list(canon), "citation": cite}
                   for canon, cite in excluded],
         ledger_hash=digest, closure=closure if use_exclusions else "none",
+        registry_path=registry_path,
     )
 
 
 @lru_cache(maxsize=None)
-def _closure(floor: int, closure: str, use_exclusions: bool) -> tuple[tuple, tuple, str]:
+def _closure(floor: int, closure: str, use_exclusions: bool,
+             registry_path: str | None) -> tuple[tuple, tuple, str]:
     """(ledger, (canon, citation) exclusions, ledger hash) of one closure at
-    one floor; immutable, since every count_remaining call shares it."""
+    one floor of one registry; immutable, since every count_remaining call
+    shares it."""
     ledger: list[tuple[int, int, int]] = []
     excluded: list[tuple[tuple[int, int, int], str]] = []
     exclusion = _full_exclusion if closure == "full" else _published_exclusion
-    for canon in _in_range_candidates(floor):
-        cite = exclusion(canon) if use_exclusions else None
+    for canon in _in_range_candidates(floor, registry_path):
+        cite = exclusion(canon, registry_path) if use_exclusions else None
         if cite is None:
             ledger.append(canon)
         else:
             excluded.append((canon, cite))
     digest = hashlib.sha256(json.dumps(ledger).encode()).hexdigest()
     return tuple(ledger), tuple(excluded), digest
-
-
-# Every cache that depends on the registry; set_registry_path clears them all.
-_REGISTRY_CACHES = (load_registry, _solved, _base_rule_match, _remaining_clause,
-                    _closure)

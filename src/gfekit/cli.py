@@ -17,7 +17,8 @@ from . import __version__
 from .arith import FactorizationBudgetExceeded
 from .bounds import ConfigError, certificate, derived_constants, forbidden_interval, scenario
 from .campaign import (CampaignPlan, CheckpointMismatch, run_campaign)
-from .catalog import Signature, classify_chi, count_remaining, known_solutions, status
+from .catalog import (Signature, classify_chi, count_remaining, known_solutions,
+                      load_registry, status)
 from .freycurves import FreyFamily, InvalidTriple, invariants
 from .linlog import PrecisionExhausted
 from .ramification import VolNotConfigured, VolTable, dataset
@@ -40,18 +41,17 @@ _FAMILY_ALIASES = {
 
 class ConfigFileError(Exception):
     """The tool configuration is malformed: unreadable JSON, a top level that
-    is not an object, an unsupported schema_version, a wrongly typed value,
-    or a vol_tables entry without a required key. Exits 2."""
+    is not an object, an unsupported schema_version, an unknown key, a wrongly
+    typed value, or a vol_tables entry without a required key. Exits 2."""
 
 
 # Optional top-level config keys and their JSON types; null means absent.
-_CONFIG_TYPES = {"precision": (dict, "an object"), "vol_tables": (list, "an array"),
-                 "search_budget": (dict, "an object"), "registry_path": (str, "a string"),
-                 "output_path": (str, "a string")}
+_CONFIG_TYPES = {"vol_tables": (list, "an array"), "search_budget": (dict, "an object"),
+                 "registry_path": (str, "a string"), "output_path": (str, "a string")}
 
 
 def load_config(path: str | None) -> dict:
-    """Tool configuration: vol tables, precision, budgets, paths."""
+    """Tool configuration: vol tables, budgets, paths."""
     path = path or os.environ.get(CONFIG_ENV)
     if not path:
         return {"schema_version": 1}
@@ -64,15 +64,16 @@ def load_config(path: str | None) -> dict:
         raise ConfigFileError(f"{path}: the top level must be a JSON object")
     if cfg.get("schema_version") != 1:
         raise ConfigFileError(f"unsupported config schema {cfg.get('schema_version')!r}")
+    for key, value in cfg.items():
+        if value is not None and key != "schema_version" and key not in _CONFIG_TYPES:
+            raise ConfigFileError(f"unknown config key {key!r}")
     for key, (kind, name) in _CONFIG_TYPES.items():
         if cfg.get(key) is not None and not isinstance(cfg[key], kind):
             raise ConfigFileError(f"{key} must be {name}, got {cfg[key]!r}")
-    for section, keys in (("precision", ("initial", "max")),
-                          ("search_budget", ("max_tasks",))):
-        for key in keys:
-            value = (cfg.get(section) or {}).get(key, 0)
-            if type(value) is not int:
-                raise ConfigFileError(f"{section}.{key} must be an integer, got {value!r}")
+    max_tasks = (cfg.get("search_budget") or {}).get("max_tasks", 0)
+    if type(max_tasks) is not int:
+        raise ConfigFileError(
+            f"search_budget.max_tasks must be an integer, got {max_tasks!r}")
     return cfg
 
 
@@ -100,7 +101,7 @@ def _emit(args, payload: dict, text: str) -> None:
 def _cmd_classify(args, cfg: dict) -> int:
     sig = Signature(args.r, args.s, args.t)
     cls = classify_chi(sig)
-    st = status(sig)
+    st = status(sig, cfg.get("registry_path") or None)
     _emit(args, {"signature": list(sig.canonical), "chi_class": cls.value,
                  "state": st.state.value, "provenance": st.provenance},
           f"{sig}: {cls.value.capitalize()} ({st.state.value}: {st.provenance})")
@@ -253,7 +254,8 @@ def _cmd_verify_known(args, cfg: dict) -> int:
 
 
 def _cmd_count(args, cfg: dict) -> int:
-    result = count_remaining(args.mode, closure=args.closure)
+    result = count_remaining(args.mode, closure=args.closure,
+                             registry_path=cfg.get("registry_path") or None)
     if args.ledger:
         with open(args.ledger, "w") as fh:
             json.dump(result.as_dict(), fh, indent=1, sort_keys=True)
@@ -361,19 +363,12 @@ def command_dispatch(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         from .arith import set_default_seed
-        from .linlog import set_precision
 
         set_default_seed(args.seed)
         cfg = load_config(args.config)
-        prec = cfg.get("precision")
-        if prec:
-            set_precision(prec.get("initial", 128), prec.get("max", 1024))
         if cfg.get("registry_path"):
-            from .catalog import load_registry, set_registry_path
-
-            set_registry_path(cfg["registry_path"])
             try:
-                load_registry()
+                load_registry(cfg["registry_path"])
             except json.JSONDecodeError as exc:
                 raise ConfigFileError(
                     f"registry {cfg['registry_path']} is not valid JSON: {exc}") from exc

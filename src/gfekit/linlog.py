@@ -19,26 +19,12 @@ import mpmath
 from mpmath import ctx_iv
 from mpmath.libmp import to_int
 
-__all__ = ["LinLog", "PrecisionExhausted", "log_atom", "log_bounds", "log_of_int",
-           "set_precision", "get_precision"]
+__all__ = ["LinLog", "PrecisionExhausted", "log_atom", "log_bounds", "log_of_int"]
 
 Rat = Union[int, Fraction]
 
 DEFAULT_PRECISION = 128
 MAX_PRECISION = 1024
-_precision = [DEFAULT_PRECISION, MAX_PRECISION]
-
-
-def set_precision(initial: int = DEFAULT_PRECISION, maximum: int = MAX_PRECISION) -> None:
-    """Configure the mantissa widths used for certified comparisons."""
-    if not 16 <= initial <= maximum:
-        raise ValueError("need 16 <= initial <= maximum")
-    _precision[0] = initial
-    _precision[1] = maximum
-
-
-def get_precision() -> tuple[int, int]:
-    return _precision[0], _precision[1]
 
 
 class PrecisionExhausted(ArithmeticError):
@@ -202,18 +188,20 @@ def _coerce(x: "LinLog | Rat") -> LinLog:
 
 
 def _certify(x: LinLog, decide: Callable[[int], int | None]) -> tuple[int, int]:
-    """Run decide at doubling precision until it returns a result.
+    """Run decide at DEFAULT_PRECISION bits, doubling until it returns a
+    result.
 
-    Returns (result, precision used); raises PrecisionExhausted when the
-    configured maximum is reached undecided.
+    Returns (result, precision used); raises PrecisionExhausted when
+    MAX_PRECISION is reached undecided.
     """
-    prec, cap = get_precision()
-    while prec <= cap:
+    prec = DEFAULT_PRECISION
+    while prec <= MAX_PRECISION:
         result = decide(prec)
         if result is not None:
             return result, prec
         prec *= 2
-    raise PrecisionExhausted(f"certified evaluation of {x} undecided at {cap} bits")
+    raise PrecisionExhausted(
+        f"certified evaluation of {x} undecided at {MAX_PRECISION} bits")
 
 
 def _iv_fraction(ctx, q: Fraction):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from gfekit.arith import FactoredInteger
@@ -19,10 +20,8 @@ from gfekit.bounds import (
 from gfekit.linlog import (
     LinLog,
     PrecisionExhausted,
-    get_precision,
     log_atom,
     log_bounds,
-    set_precision,
 )
 from gfekit.ramification import VolNotConfigured, VolTable
 from tests.conftest import synthetic_config
@@ -209,23 +208,36 @@ def test_forbidden_interval_with_synthetic_vols():
         assert lo < hi
 
 
+def _log2_3_convergent_over(bound: int) -> tuple[int, int]:
+    """(p, q): the first convergent p/q of log2(3) with q > bound."""
+    with mpmath.workprec(4000):
+        x = mpmath.log(3) / mpmath.log(2)
+        x = Fraction(int(x.man)) * Fraction(2) ** int(x.exp)
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    while k1 <= bound:
+        a = x.numerator // x.denominator
+        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+        x = 1 / (x - a)
+    return h1, k1
+
+
 def test_certificate_propagates_precision_exhaustion():
     table = VolTable()
     for l in (11, 13):
         table.set_raw(("GENERAL_ABC", 1, l, None), Fraction(1, 4), "synthetic")
     cfg = scenario("general", (5, 7, 11), "a", s_primes=(11, 13), k=2,
                    tables=table)
-    # 3^665 and 2^1054 agree to about 1e-4 in log: 16 bits cannot sign it.
-    tight = log_atom(3, 665) - log_atom(2, 1054)
-    res = EliminationResult(True, "unprimed", (tight, LinLog.of(10)), {})
-    assert certificate(cfg, res)["precision_used"] > 16
-    saved = get_precision()
-    set_precision(16, 16)
-    try:
-        with pytest.raises(PrecisionExhausted):
-            certificate(cfg, res)
-    finally:
-        set_precision(*saved)
+
+    def ends(bound):
+        # |q log 3 - p log 2| is below 1/q, so signing it needs about
+        # 2 log2(q) bits.
+        p, q = _log2_3_convergent_over(bound)
+        tight = log_atom(3, q) - log_atom(2, p)
+        return EliminationResult(True, "unprimed", (tight, LinLog.of(10)), {})
+
+    assert certificate(cfg, ends(10**50))["precision_used"] == 512
+    with pytest.raises(PrecisionExhausted):
+        certificate(cfg, ends(10**160))
 
 
 def test_large_vol_general_b_scenario_is_excluded():

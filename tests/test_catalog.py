@@ -15,7 +15,6 @@ from gfekit.catalog import (
     count_remaining,
     known_solutions,
     load_registry,
-    set_registry_path,
     status,
 )
 from gfekit.search import SolutionRecord
@@ -193,27 +192,30 @@ def test_status_sweep_pin():
         "ea60f7e75249b373a32f43dcbbee11bc28fec925b00771368531e6d437712f08")
 
 
-def test_set_registry_path_switches_and_restores(tmp_path):
+def _assert_count_pins_hold():
+    for (mode, closure), pin in COUNT_PINS.items():
+        result = count_remaining(mode, closure=closure)
+        assert (result.count, result.ledger_hash) == pin
+
+
+def test_status_interleaves_registries_on_warm_caches(tmp_path):
     reg = load_registry()
-    assert status(Signature(4, 5, 11)).state is State.REMAINING  # warm the caches
+    sig = Signature(4, 5, 11)
+    assert status(sig).state is State.REMAINING  # warm the caches
     trimmed = dict(reg, remaining_families=[
         fam for fam in reg["remaining_families"] if fam["id"] != "f-45n"])
     path = tmp_path / "registry.json"
     path.write_text(json.dumps(trimmed))
-    set_registry_path(str(path))
-    try:
-        assert count_remaining("ge4").count != 244
-        assert status(Signature(4, 5, 11)).state is not State.REMAINING
-    finally:
-        set_registry_path(None)
-    result = count_remaining("ge4")
-    assert (result.count, result.ledger_hash) == COUNT_PINS["ge4", "full"]
-    assert status(Signature(4, 5, 11)).state is State.REMAINING
+    for _ in range(2):
+        assert status(sig, str(path)).state is not State.REMAINING
+        assert status(sig).state is State.REMAINING
+    assert count_remaining("ge4", registry_path=str(path)).count == 148
+    assert status(sig).state is State.REMAINING
+    _assert_count_pins_hold()
 
 
-def test_set_registry_path_clears_warm_closures(tmp_path):
-    count_remaining("ge4")
-    count_remaining("beal", closure="published")  # warm every catalog cache
+def test_registry_path_counts_beside_warm_closures(tmp_path):
+    _assert_count_pins_hold()  # warm every catalog cache
     reg = load_registry()
     # Drop a remaining family and a solved rule, so that a stale closure or a
     # stale matcher of either kind changes a count.
@@ -224,15 +226,14 @@ def test_set_registry_path_clears_warm_closures(tmp_path):
                       if not (r["kind"] == "aan" and r["fixed"] == 3)])
     path = tmp_path / "registry.json"
     path.write_text(json.dumps(edited))
-    set_registry_path(str(path))
-    try:
-        assert count_remaining("ge4").count == 148
-        assert count_remaining("beal", closure="published").count == 2388
-    finally:
-        set_registry_path(None)
-    for (mode, closure), pin in COUNT_PINS.items():
-        result = count_remaining(mode, closure=closure)
-        assert (result.count, result.ledger_hash) == pin
+    assert count_remaining("ge4", registry_path=str(path)).count == 148
+    published = count_remaining("beal", closure="published", registry_path=str(path))
+    assert published.count == 2388
+    # The report compares the closures of the registry that was counted.
+    full = count_remaining("beal", registry_path=str(path))
+    assert published.discrepancy_report()["full_closure_count"] == full.count
+    assert full.count != COUNT_PINS["beal", "full"][0]
+    _assert_count_pins_hold()
 
 
 def test_count_result_mutation_does_not_reach_the_next_result():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from gfekit.campaign import CampaignPlan, explicit_box_task
-from gfekit.catalog import _closure, load_registry, set_registry_path
+from gfekit.catalog import _closure, load_registry
 from gfekit.cli import command_dispatch
 
 
@@ -59,7 +59,7 @@ def test_count_beal_ledger_bytes_pinned(capsys, tmp_path):
 
 
 def test_count_beal_ledger_computes_each_closure_once(capsys, tmp_path):
-    set_registry_path(None)  # start from cold catalog caches
+    _closure.cache_clear()  # start from cold closures
     code, _, _ = run(capsys, "count", "beal", "--ledger", str(tmp_path / "ledger.json"))
     assert code == 0
     assert _closure.cache_info().misses == 2  # the full and the published closure
@@ -175,6 +175,8 @@ def test_directory_as_path_is_config_error(capsys, tmp_path, argv):
         {"family": "GENERAL_ABC", "kind": 1, "l": 11, "value": "abc"}]}),
     json.dumps({"schema_version": 1, "search_budget": {"max_tasks": "3"}}),
     json.dumps({"schema_version": 1, "registry_path": 5}),
+    json.dumps({"schema_version": 1, "vol_table": [
+        {"family": "GENERAL_ABC", "kind": 1, "l": 11, "value": "0.25"}]}),
 ])
 def test_malformed_config_is_config_error(capsys, tmp_path, text):
     path = tmp_path / "cfg.json"
@@ -183,6 +185,14 @@ def test_malformed_config_is_config_error(capsys, tmp_path, text):
                        "5", "7", "11", "--set", "11", "13")
     assert code == 2
     assert err.startswith("configuration error:")
+
+
+def test_unknown_config_key_is_named(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema_version": 1, "vol_table": []}))
+    code, _, err = run(capsys, "--config", str(path), "count", "ge4")
+    assert code == 2
+    assert err == "configuration error: unknown config key 'vol_table'\n"
 
 
 def test_null_config_keys_count_as_absent(capsys, tmp_path):
@@ -202,13 +212,30 @@ def _run_against_registry(capsys, tmp_path, registry_text,
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schema_version": 1, "registry_path": str(reg_path)}))
     out = []
-    try:
-        for argv in (("classify", *signature), ("count", "ge4")):
-            code, _, err = run(capsys, "--config", str(cfg), *argv)
-            out.append((code, err))
-    finally:
-        set_registry_path(None)
+    for argv in (("classify", *signature), ("count", "ge4")):
+        code, _, err = run(capsys, "--config", str(cfg), *argv)
+        out.append((code, err))
     return out
+
+
+# ledger_hash of `count ge4` on the shipped registry.
+COUNT_GE4_LEDGER_HASH = "a126315844542bc339633bf1de3f2918ad3d4cc9e079e22ee4d0bdc582a76bc4"
+
+
+def test_registry_config_does_not_reach_the_next_call(capsys, tmp_path):
+    reg = load_registry()
+    trimmed = dict(reg, remaining_families=[
+        fam for fam in reg["remaining_families"] if fam["id"] != "f-45n"])
+    reg_path = tmp_path / "registry.json"
+    reg_path.write_text(json.dumps(trimmed))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "registry_path": str(reg_path)}))
+    code, out, _ = run(capsys, "--config", str(cfg), "count", "ge4")
+    assert (code, out.split()[0]) == (0, "148")
+    code, out, _ = run(capsys, "--json", "count", "ge4")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["count"], payload["ledger_hash"]) == (244, COUNT_GE4_LEDGER_HASH)
 
 
 def test_unknown_family_kind_is_domain_error(capsys, tmp_path):

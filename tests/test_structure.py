@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from gfekit.linlog import get_precision, set_precision
+from gfekit import linlog
 from gfekit.structure import (
     general_rl_cap,
     general_rl_product_cap,
@@ -71,16 +71,13 @@ def test_general_v2_sieve_reproduces_published_caps():
     assert general_v2_sieve() == (306, 303)
 
 
-def test_exponent_sieves_settle_at_the_initial_precision():
+def test_exponent_sieves_settle_at_the_initial_precision(monkeypatch):
     # The per-prime vmax caps are small comparisons: no ladder step is needed,
-    # so a low configured maximum must not change (or break) the sieves.
+    # so a ladder with no step above the initial precision must not change
+    # (or break) the sieves.
     expected = general_v2_sieve(), threers_v3_sieve()
-    saved = get_precision()
-    set_precision(128, 128)
-    try:
-        assert (general_v2_sieve.__wrapped__(), threers_v3_sieve.__wrapped__()) == expected
-    finally:
-        set_precision(*saved)
+    monkeypatch.setattr(linlog, "MAX_PRECISION", linlog.DEFAULT_PRECISION)
+    assert (general_v2_sieve.__wrapped__(), threers_v3_sieve.__wrapped__()) == expected
 
 
 def test_general_x1_collapse():
