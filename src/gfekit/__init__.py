@@ -12,7 +12,8 @@ Submodules:
   search      candidate enumeration, exact box checks, the small-z scan
   campaign    sharded, checkpointed campaign plans and reports
   catalog     chi classification, known solutions, signature counters
-  cli         batch front-end
+  errors      the typed errors of every layer (imports nothing)
+  cli         batch front-end; each command imports only the layers it runs
 """
 
 __version__ = "0.1.0"

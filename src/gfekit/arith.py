@@ -12,6 +12,8 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import FactorizationBudgetExceeded
+
 __all__ = [
     "FactorizationBudgetExceeded",
     "set_default_seed",
@@ -35,14 +37,6 @@ _DEFAULT_SEED = [0]
 def set_default_seed(seed: int) -> None:
     """Seed for the randomized splitter when factor() is not given one."""
     _DEFAULT_SEED[0] = seed
-
-
-class FactorizationBudgetExceeded(RuntimeError):
-    """Raised when the factorizer exceeds its work budget.
-
-    Never degraded to a partial answer: a silently wrong factorization would
-    corrupt every bound certificate built on top of it.
-    """
 
 
 @lru_cache(maxsize=None)

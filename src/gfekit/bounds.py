@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import FactoredInteger, factor, k_full_part, radical
+from .errors import ConfigError
 from .freycurves import FreyFamily
 from .linlog import LinLog, log_atom, log_of_int
 from .ramification import VolNotConfigured, VolTable, default_profile, vol_lookup
@@ -37,10 +38,6 @@ __all__ = [
     "scenario",
     "certificate",
 ]
-
-
-class ConfigError(ValueError):
-    """A BoundConfig violates its own admissibility conditions."""
 
 
 @dataclass(frozen=True)

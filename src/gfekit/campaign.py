@@ -18,6 +18,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .errors import CheckpointMismatch
 from .linlog import LinLog, log_bounds
 from .ramification import A2_TABLES
 from .ramification import a1_coefficient
@@ -41,10 +42,6 @@ _PLAN_L_CHOICES = (11, 13, 17, 19)
 # measurable per-task cost on plans of small boxes; a larger chunk delays the
 # checkpoint record of every task in it.
 _CHUNK = 4
-
-
-class CheckpointMismatch(RuntimeError):
-    """Checkpoint belongs to a different plan or fails its integrity hash."""
 
 
 def _canonical(obj) -> str:

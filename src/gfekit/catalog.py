@@ -184,10 +184,15 @@ def _checked(reg: dict) -> dict:
     return reg
 
 
-@lru_cache(maxsize=None)
 def load_registry(path: str | None = None) -> dict:
     """The registry file at path (None: the shipped one), checked against the
-    schema (ValueError if it fails)."""
+    schema (ValueError if it fails). `load_registry()` and `load_registry(None)`
+    share one cached dict."""
+    return _registry(path)
+
+
+@lru_cache(maxsize=None)
+def _registry(path: str | None) -> dict:
     if path is not None:
         with open(path) as fh:
             return _checked(json.load(fh))

@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 domain error (bad mathematical input, budget
 exceeded), 2 usage or configuration error. With --json every output line is
 a JSON object and identical invocations produce byte-identical output.
+
+Each handler imports the layers it runs, so a command loads only those (`count`
+never loads mpmath); the typed errors come from the import-free `errors`.
 """
 
 from __future__ import annotations
@@ -11,31 +14,21 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
-from . import __version__
-from .arith import FactorizationBudgetExceeded
-from .bounds import ConfigError, certificate, derived_constants, forbidden_interval, scenario
-from .campaign import (CampaignPlan, CheckpointMismatch, run_campaign)
-from .catalog import (Signature, classify_chi, count_remaining, known_solutions,
-                      load_registry, status)
-from .freycurves import FreyFamily, InvalidTriple, invariants
-from .linlog import PrecisionExhausted
-from .ramification import VolNotConfigured, VolTable, dataset
-from .search import small_z1_scan
-from .structure import structure_profile
+from . import __version__, errors
 
 CONFIG_ENV = "GFE_CONFIG"
 
+# Command-line family name -> freycurves.FreyFamily member name.
 _FAMILY_ALIASES = {
-    "general": FreyFamily.GENERAL_ABC,
-    "general-abc": FreyFamily.GENERAL_ABC,
-    "two-three": FreyFamily.TWO_THREE,
-    "twothree": FreyFamily.TWO_THREE,
-    "three-rs": FreyFamily.THREE_RS,
-    "threers": FreyFamily.THREE_RS,
-    "two-rs": FreyFamily.TWO_RS,
-    "twors": FreyFamily.TWO_RS,
+    "general": "GENERAL_ABC",
+    "general-abc": "GENERAL_ABC",
+    "two-three": "TWO_THREE",
+    "twothree": "TWO_THREE",
+    "three-rs": "THREE_RS",
+    "threers": "THREE_RS",
+    "two-rs": "TWO_RS",
+    "twors": "TWO_RS",
 }
 
 
@@ -77,7 +70,12 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def vol_table_from_config(cfg: dict) -> VolTable:
+def vol_table_from_config(cfg: dict):
+    """The ramification.VolTable of the config's vol_tables entries."""
+    from fractions import Fraction
+
+    from .ramification import VolTable
+
     table = VolTable()
     for i, entry in enumerate(cfg.get("vol_tables") or []):
         try:
@@ -98,7 +96,15 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
+def _family(alias: str):
+    from .freycurves import FreyFamily
+
+    return FreyFamily[_FAMILY_ALIASES[alias.lower()]]
+
+
 def _cmd_classify(args, cfg: dict) -> int:
+    from .catalog import Signature, classify_chi, status
+
     sig = Signature(args.r, args.s, args.t)
     cls = classify_chi(sig)
     st = status(sig, cfg.get("registry_path") or None)
@@ -109,7 +115,9 @@ def _cmd_classify(args, cfg: dict) -> int:
 
 
 def _cmd_curve(args, cfg: dict) -> int:
-    family = _FAMILY_ALIASES[args.family.lower()]
+    from .freycurves import invariants
+
+    family = _family(args.family)
     inv = invariants(family, args.a, args.b, args.c)
     payload = {
         "family": family.name, "triple": [args.a, args.b, args.c],
@@ -125,7 +133,9 @@ def _cmd_curve(args, cfg: dict) -> int:
 
 
 def _cmd_dataset(args, cfg: dict) -> int:
-    family = _FAMILY_ALIASES[args.family.lower()]
+    from .ramification import dataset
+
+    family = _family(args.family)
     ds = dataset(family, args.kind, args.l, args.q)
     payload = {
         "family": family.name, "kind": ds.kind, "l0": ds.l0, "e0": ds.e0,
@@ -143,6 +153,8 @@ def _cmd_dataset(args, cfg: dict) -> int:
 
 
 def _cmd_bounds(args, cfg: dict) -> int:
+    from .bounds import certificate, derived_constants, forbidden_interval, scenario
+
     tables = vol_table_from_config(cfg)
     exps = tuple(args.exponents)
     built = scenario(
@@ -164,6 +176,8 @@ def _cmd_bounds(args, cfg: dict) -> int:
 
 
 def _cmd_profile(args, cfg: dict) -> int:
+    from .structure import structure_profile
+
     exps = tuple(args.exponents)
     case = {2: "threers", 3: "general", 1: "twothree"}[len(exps)]
     if args.family:
@@ -201,6 +215,8 @@ def _cmd_profile(args, cfg: dict) -> int:
 
 
 def _cmd_search(args, cfg: dict) -> int:
+    from .campaign import CampaignPlan, run_campaign
+
     plan = CampaignPlan.load(args.planfile)
     max_tasks = (cfg.get("search_budget") or {}).get("max_tasks")
     if max_tasks is not None and len(plan.tasks) > max_tasks:
@@ -221,6 +237,8 @@ def _cmd_search(args, cfg: dict) -> int:
 
 
 def _cmd_scan(args, cfg: dict) -> int:
+    from .search import small_z1_scan
+
     records = small_z1_scan(args.z1_bound, args.t_max, args.height)
     payload = {"records": [r.as_dict() for r in records],
                "identities": [r.identity() for r in records]}
@@ -230,7 +248,7 @@ def _cmd_scan(args, cfg: dict) -> int:
 
 
 def _cmd_verify_known(args, cfg: dict) -> int:
-    from .catalog import CatalanFamily
+    from .catalog import CatalanFamily, known_solutions
 
     lines, items = [], []
     for entry in known_solutions():
@@ -254,11 +272,13 @@ def _cmd_verify_known(args, cfg: dict) -> int:
 
 
 def _cmd_count(args, cfg: dict) -> int:
+    from .catalog import count_remaining
+
     result = count_remaining(args.mode, closure=args.closure,
                              registry_path=cfg.get("registry_path") or None)
     if args.ledger:
         with open(args.ledger, "w") as fh:
-            json.dump(result.as_dict(), fh, indent=1, sort_keys=True)
+            fh.write(json.dumps(result.as_dict(), indent=1, sort_keys=True))
     payload = {
         "mode": result.mode, "count": result.count, "expected": result.expected,
         "matches_expected": result.matches_expected,
@@ -367,15 +387,17 @@ def command_dispatch(argv=None) -> int:
         set_default_seed(args.seed)
         cfg = load_config(args.config)
         if cfg.get("registry_path"):
+            from .catalog import load_registry
+
             try:
                 load_registry(cfg["registry_path"])
             except json.JSONDecodeError as exc:
                 raise ConfigFileError(
                     f"registry {cfg['registry_path']} is not valid JSON: {exc}") from exc
         return args.fn(args, cfg)
-    except (InvalidTriple, ValueError, VolNotConfigured, ConfigError,
-            FactorizationBudgetExceeded, PrecisionExhausted,
-            CheckpointMismatch) as exc:
+    except (ValueError, errors.InvalidTriple, errors.VolNotConfigured,
+            errors.ConfigError, errors.FactorizationBudgetExceeded,
+            errors.PrecisionExhausted, errors.CheckpointMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ConfigFileError) as exc:

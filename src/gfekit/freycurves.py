@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import FactoredInteger, factor
+from .errors import InvalidTriple
 
 __all__ = [
     "FreyFamily",
@@ -48,10 +49,6 @@ class ReductionType(enum.Enum):
     GOOD = "good"
     MULTIPLICATIVE = "multiplicative"
     POTENTIALLY_BAD = "potentially-bad"
-
-
-class InvalidTriple(ValueError):
-    """The triple violates the family constraint or coprimality."""
 
 
 @dataclass(frozen=True)

@@ -19,16 +19,14 @@ import mpmath
 from mpmath import ctx_iv
 from mpmath.libmp import to_int
 
+from .errors import PrecisionExhausted
+
 __all__ = ["LinLog", "PrecisionExhausted", "log_atom", "log_bounds", "log_of_int"]
 
 Rat = Union[int, Fraction]
 
 DEFAULT_PRECISION = 128
 MAX_PRECISION = 1024
-
-
-class PrecisionExhausted(ArithmeticError):
-    """A certified decision is still open at the maximum precision."""
 
 
 def _as_fraction(x: Rat) -> Fraction:

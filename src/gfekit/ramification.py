@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import divisors, is_prime
+from .errors import VolNotConfigured
 from .freycurves import FreyFamily
 
 __all__ = [
@@ -28,14 +29,6 @@ __all__ = [
     "default_profile",
     "a1_coefficient",
 ]
-
-
-class VolNotConfigured(LookupError):
-    """A log-volume constant was requested but never configured.
-
-    Defaulting to 0 would make every downstream exclusion certificate
-    unsound, so the lookup is loud instead.
-    """
 
 
 @dataclass(frozen=True)

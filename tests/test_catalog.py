@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gfekit import catalog
 from gfekit.catalog import (
     CatalanFamily,
     ChiClass,
@@ -233,6 +234,20 @@ def test_registry_path_counts_beside_warm_closures(tmp_path):
     full = count_remaining("beal", registry_path=str(path))
     assert published.discrepancy_report()["full_closure_count"] == full.count
     assert full.count != COUNT_PINS["beal", "full"][0]
+    _assert_count_pins_hold()
+
+
+def test_both_forms_of_the_shipped_registry_share_one_dict():
+    assert load_registry() is load_registry(None)
+
+
+def test_clearing_every_catalog_cache_drops_the_registry():
+    shipped = load_registry()
+    for value in vars(catalog).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    assert load_registry() is not shipped
+    assert load_registry() is load_registry(None)
     _assert_count_pins_hold()
 
 

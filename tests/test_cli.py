@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -7,9 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from gfekit import cli, errors
 from gfekit.campaign import CampaignPlan, explicit_box_task
 from gfekit.catalog import _closure, load_registry
 from gfekit.cli import command_dispatch
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -67,8 +71,7 @@ def test_count_beal_ledger_computes_each_closure_once(capsys, tmp_path):
 
 @pytest.mark.parametrize("module", ["gfekit", "gfekit.cli"])
 def test_python_dash_m_runs_the_cli(module):
-    src = Path(__file__).resolve().parents[1] / "src"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", module, "count", "ge4"],
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=120)
@@ -263,3 +266,62 @@ def test_registry_that_is_not_json_is_config_error(capsys, tmp_path):
     for code, err in _run_against_registry(capsys, tmp_path, '{"solved_rules": ['):
         assert code == 2
         assert err.startswith("configuration error: registry")
+
+
+# Each typed error under the layer that raises it.
+TYPED_ERRORS = [("arith", "FactorizationBudgetExceeded"), ("bounds", "ConfigError"),
+                ("campaign", "CheckpointMismatch"), ("freycurves", "InvalidTriple"),
+                ("linlog", "PrecisionExhausted"), ("ramification", "VolNotConfigured")]
+
+
+@pytest.mark.parametrize("module, name", TYPED_ERRORS)
+def test_typed_error_exits_1(capsys, monkeypatch, module, name):
+    error = getattr(importlib.import_module(f"gfekit.{module}"), name)
+
+    def handler(args, cfg):
+        raise error("raised by the handler")
+
+    monkeypatch.setattr(cli, "_cmd_classify", handler)
+    code, out, err = run(capsys, "classify", "3", "5", "7")
+    assert (code, out, err) == (1, "", "error: raised by the handler\n")
+
+
+@pytest.mark.parametrize("module, name", TYPED_ERRORS)
+def test_typed_error_is_the_errors_class(module, name):
+    assert getattr(importlib.import_module(f"gfekit.{module}"), name) is getattr(errors, name)
+
+
+def _loaded_after(code: str, *argv: str) -> set[str]:
+    """The modules a fresh interpreter holds after running code with argv."""
+    script = code + "\nimport sys\nprint(' '.join(sorted(sys.modules)), file=sys.stderr)"
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+def test_importing_the_cli_loads_no_layer():
+    loaded = _loaded_after("import gfekit.cli")
+    assert {m for m in loaded if m.startswith("gfekit")} == {
+        "gfekit", "gfekit.cli", "gfekit.errors"}
+    assert "mpmath" not in loaded
+
+
+# Each command's argv, and the modules it must not load.
+_NO_LOG_CODE = {"mpmath", "gfekit.bounds", "gfekit.campaign", "gfekit.structure"}
+LEAN_COMMANDS = [
+    (("count", "ge4"), _NO_LOG_CODE),
+    (("count", "beal"), _NO_LOG_CODE),
+    (("verify-known",), _NO_LOG_CODE),
+    (("scan-small-z1",), _NO_LOG_CODE),
+    (("classify", "3", "5", "7"), _NO_LOG_CODE),
+    (("profile", "4", "5", "7", "11"), {"gfekit.bounds", "gfekit.campaign", "gfekit.catalog"}),
+]
+
+
+@pytest.mark.parametrize("argv, unused", LEAN_COMMANDS,
+                         ids=["-".join(argv) for argv, _ in LEAN_COMMANDS])
+def test_command_loads_only_its_layers(argv, unused):
+    loaded = _loaded_after("import sys\nfrom gfekit.cli import command_dispatch\n"
+                           "assert command_dispatch(sys.argv[1:]) == 0", *argv)
+    assert not loaded & unused
