@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -273,3 +276,104 @@ def test_large_vol_general_b_scenario_is_excluded():
     ceiling_lo = 66526 * log_bounds(2)[0]
     assert 41903 < threshold_hi < 41904 < 46112 < ceiling_lo < 46113
     assert abs(float(res.interval[0]) - float(threshold_hi)) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# Golden grid for scenario: one sha256 per family case over every input below.
+# Each input records repr(cfg) plus its certificate, or the exception's type
+# and text, so a change to any BoundConfig field, provenance string, error
+# message or the order in which the precondition checks fire moves a digest.
+
+_GOLDEN_FAMILIES = {
+    # family: (cases, exponents, sets S, u0 values, q values)
+    "general": (("general", "general-2tor"),
+                ((5, 7, 11), (3, 7, 11), (11, 13, 17), (5, 11, 17), (5, 7)),
+                ((11, 13), (11, 19), (17, 19, 23), (7, 13), (11, 11), (11, 15)),
+                (None, 12), (None, 5)),
+    "twothree": (("twothree-u0", "twothree-t", "twothree-q"),
+                 ((23,), (55,), (45,), (10,), (22,), (23, 1)),
+                 ((11, 17), (17, 19), (11, 23), (11, 13), (17,), (17, 21)),
+                 (None, 11, 12, 30, 5), (None, 5, 7, 9, 11)),
+    "threers": (("threers", "threers-2tor"),
+                ((7, 11), (11, 17), (3, 11), (7, 5), (7,)),
+                ((11, 17), (17, 19), (11, 19), (11, 13), (19,), (17, 25)),
+                (None, 7, 8, 30), (None, 5)),
+    "unknown": (("cubic",), ((5, 7, 11),), ((11, 13), (11,)), (None,), (None,)),
+}
+# (situation, variant): a, b, c and an unknown one; every situation-c branch
+# of both families, one that names the other family's branch and one unknown.
+_GOLDEN_SITUATIONS = (("a", None), ("b", None), ("z", None), ("c", None),
+                      ("c", "rst"), ("c", "rs"), ("c", "s"), ("c", "r"),
+                      ("c", "zz"), ("b", "rs"))
+_GOLDEN_DATASETS = (("GENERAL_ABC", 1), ("GENERAL_ABC", 3), ("TWO_THREE", 1),
+                    ("TWO_THREE", 2), ("THREE_RS", 1), ("THREE_RS", 2))
+
+
+def _golden_tables() -> tuple[VolTable | None, ...]:
+    """No table, a table with every key of the grid, and one missing l = 17.
+
+    Each raw Vol depends on its whole key, so reading the wrong key shows."""
+    full, partial = VolTable(), VolTable()
+    for family, kind in _GOLDEN_DATASETS:
+        for l in (11, 13, 15, 17, 19, 21, 23, 25):
+            for q in ((5, 7, 9, 11) if (family, kind) == ("TWO_THREE", 2) else (None,)):
+                vol = Fraction(100 * kind + l, 64) + (q or 0)
+                full.set_raw((family, kind, l, q), vol, "golden grid")
+                if l != 17:
+                    partial.set_raw((family, kind, l, q), vol, "golden grid")
+    return None, full, partial
+
+
+def _rejected_by_new_checks(case, exponents, situation, variant, s_primes, q) -> bool:
+    """Inputs that the composite-S/q and ignored-option checks reject: S or q
+    composite, a situation other than a for a case without a primed block, or
+    a variant outside situation c. They stay out of the digests; the tests of
+    those checks cover them."""
+    composite = any(l in (15, 21, 25) for l in s_primes) or (case == "twothree-q" and q == 9)
+    no_primed = case in ("general-2tor", "twothree-u0", "twothree-t", "twothree-q")
+    return composite or (no_primed and situation != "a") or (
+        variant is not None and situation != "c")
+
+
+def _golden_digests() -> dict[str, str]:
+    tables = _golden_tables()
+    certs: dict[str, str] = {}
+    digests = {}
+    for cases, exps, sets, u0s, qs in _GOLDEN_FAMILIES.values():
+        for case in cases:
+            h = hashlib.sha256()
+            for e, (sit, var), s, u0, q, k, tab in itertools.product(
+                    exps, _GOLDEN_SITUATIONS, sets, u0s, qs, (2, 3), range(3)):
+                if _rejected_by_new_checks(case, e, sit, var, s, q):
+                    continue
+                try:
+                    cfg = scenario(case, e, sit, s_primes=s, k=k, tables=tables[tab],
+                                   u0=u0, q=q, variant=var)
+                    key = repr(cfg)
+                    if key not in certs:
+                        cert = certificate(cfg, forbidden_interval(cfg))
+                        certs[key] = json.dumps(cert, sort_keys=True, default=str)
+                    record = key + certs[key]
+                except (ValueError, LookupError) as exc:
+                    record = f"{type(exc).__name__}: {exc}"
+                h.update(record.encode() + b"\n")
+            digests[case] = h.hexdigest()
+    return digests
+
+
+# Expected sha256 per family case: a moved digest means scenario now builds or
+# rejects some input of the grid differently.
+_GOLDEN_DIGESTS = {
+    "general": "29094e82b9b3ead726ffc6810460f208e15c97787ca6ea23028819aec40dd7f3",
+    "general-2tor": "aa4e0809ebcd15e4542e0cfe5f490f73c11e8812beab1da4e5a700581d0a3aa6",
+    "twothree-u0": "1ba9e926d484d4006d24969e7fe67b3c0694a10ef45b0d8c82bab3acc0129f50",
+    "twothree-t": "b62c31c497c237e5e228a8df912c87a0ef486f73b0f13089e8db9aa70873ccb3",
+    "twothree-q": "f621c23caeb7d6f974ec10a5e16b33ff3cb34fdf9a9e2f4e0089ea925c4cf402",
+    "threers": "7a389244b483d45b20d32918486f87d9907d9be867ef3f750e103add2ec2f83a",
+    "threers-2tor": "e61ce4dfe17ebf619c5c94b5edbf0c7061d9fa665003b6e951f8a431cc723e40",
+    "cubic": "e2b5f53bfa83d161f721f451b282f0df78275eee06d1c3a2adcfbd9f338566c5",
+}
+
+
+def test_scenario_golden_grid():
+    assert _golden_digests() == _GOLDEN_DIGESTS
