@@ -15,14 +15,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import FactoredInteger, factor, k_full_part, radical
+from .arith import FactoredInteger, factor, is_prime, k_full_part, radical
 from .errors import ConfigError
-from .freycurves import FreyFamily
 from .linlog import LinLog, log_atom, log_of_int
-from .ramification import VolNotConfigured, VolTable, default_profile, vol_lookup
+from .ramification import VolNotConfigured, VolTable, default_profile
 
 __all__ = [
     "BoundConfig",
@@ -104,6 +104,8 @@ def make_config(
         raise ConfigError("S must contain at least two primes")
     if any(l < 5 for l in s_primes):
         raise ConfigError("every prime of S must be >= 5")
+    if not all(is_prime(l) for l in s_primes):
+        raise ConfigError("every element of S must be prime")
     if not 2 <= k <= len(s_primes):
         raise ConfigError(f"k must satisfy 2 <= k <= |S|, got {k}")
     per_l: dict[int, PerPrime] = {}
@@ -400,26 +402,33 @@ def lemma13_chain(
 
 
 # ---------------------------------------------------------------------------
-# Scenario builders: lemma-specified configurations per family.
+# Scenario builder: one lemma-specified configuration per family case.
 
 
-def _kprod(s_primes, k: int) -> int:
-    out = 1
-    for p in sorted(s_primes)[:k]:
-        out *= p
-    return out
-
-
-def _vols_from_table(tables: VolTable | None, keys: dict[int, tuple],
-                     extra: LinLog | None = None) -> dict[int, LinLog | None]:
-    vols: dict[int, LinLog | None] = {}
-    for l, key in keys.items():
-        if tables is None or not tables.has_raw(key):
-            vols[l] = None
-        else:
-            v = LinLog.of(vol_lookup(tables, key))
-            vols[l] = v + extra if extra is not None else v
-    return vols
+# One row per instance of the inequality, keyed by scenario's family_case.
+# family (a FreyFamily member name) and kind name the Vol dataset, and e0
+# equals dataset(family, kind, l).e0; vol_log2 marks the odd-part datasets,
+# whose Vol carries an extra log 2; m is the factor of nk(S) = m * (product of
+# the k smallest l) and, in the general family, of n1(S) = m * min(S); primed
+# names the primed blocks that apply ("general", "cube" or None); provenance
+# is formatted with exps, situation, u0 and q.
+_Case = namedtuple("_Case", "family kind vol_log2 n0 p_n s1 e0 m primed provenance")
+_CASES = {
+    "general": _Case("GENERAL_ABC", 1, False, 2**8, 2, frozenset({2}), 3, 2, "general",
+                     "general signatures ({exps}), situation {situation}"),
+    "general-2tor": _Case("GENERAL_ABC", 3, False, 1, 3, frozenset(), 1, 8, None,
+                          "general signatures ({exps}), odd part"),
+    "twothree-u0": _Case("TWO_THREE", 1, False, 1728, 2, frozenset({2, 3}), 12, 1, None,
+                         "(2,3,{exps}) with u0={u0}"),
+    "twothree-t": _Case("TWO_THREE", 1, False, 1728, 2, frozenset({2, 3}), 12, 1, None,
+                        "(2,3,{exps}) with u0=t"),
+    "twothree-q": _Case("TWO_THREE", 2, True, 27, 3, frozenset({3}), 2, 1, None,
+                        "(2,3,{exps}) odd part with q={q}"),
+    "threers": _Case("THREE_RS", 1, False, 27, 2, frozenset({3}), 12, 1, "cube",
+                     "cube family ({exps}), situation {situation}"),
+    "threers-2tor": _Case("THREE_RS", 2, True, 27, 3, frozenset({3}), 4, 1, "cube",
+                          "cube family ({exps}) odd part, situation {situation}"),
+}
 
 
 def scenario(
@@ -434,167 +443,100 @@ def scenario(
     q: int | None = None,
     variant: str | None = None,
 ) -> BoundConfig:
-    """Instantiate a lemma-specified BoundConfig for a signature family.
+    """Instantiate the BoundConfig of a family case, a key of _CASES.
 
-    family_case: general | general-2tor | twothree-u0 | twothree-t |
-    twothree-q | threers | threers-2tor. The symbolic N (a monomial in the
-    unknown solution) is left as None; n0 is stored as its worst-case cap.
-    Raises ConfigError naming any violated lemma precondition.
+    The symbolic N (a monomial in the unknown solution) is left as None; n0
+    is stored as its worst-case cap. Raises ConfigError naming any violated
+    lemma precondition or an option the case does not use.
     """
     s_primes = tuple(sorted(set(s_primes)))
-    n = len(s_primes)
-    if n < 2:
+    if len(s_primes) < 2:
         raise ConfigError("S must have at least two primes")
-    p0 = s_primes[0]
-    ks = _kprod(s_primes, k)
+    if family_case not in _CASES:
+        raise ConfigError(f"unknown family case {family_case!r}")
+    case = _CASES[family_case]
+    p0, nk_s = s_primes[0], case.m * math.prod(s_primes[:k])
 
-    if family_case in ("general", "general-2tor"):
+    if case.family == "GENERAL_ABC":
         r, s, t = exponents
         if min(r, s, t) < 4:
             raise ConfigError("general family needs r,s,t >= 4")
         if any(l < 11 for l in s_primes):
             raise ConfigError("general family needs l >= 11 for every l in S")
-        if family_case == "general":
-            keys = {l: (FreyFamily.GENERAL_ABC.name, 1, l, None) for l in s_primes}
-            primed = None
-            if situation == "a":
-                u0p = u0 or 8
-                primed = PrimedBlock(u0p, max(u0p, 2 * p0), 2**8, "p | N")
-            elif situation == "c":
-                primed = _general_situation_c(exponents, s_primes, p0, variant)
-            elif situation != "b":
-                raise ConfigError(f"unknown situation {situation!r}")
-            return make_config(
-                n_value=None, n0=2**8, u0=8, p_n=2, s_primes=s_primes, k=k,
-                s1={2}, n1_s=2 * p0, nk_s=2 * ks, e0=3,
-                vols=_vols_from_table(tables, keys), primed=primed,
-                provenance=f"general signatures ({r},{s},{t}), situation {situation}",
-            )
-        # coprime-to-2 variant
-        for l in s_primes:
-            if (r * s * t) % l == 0:
-                raise ConfigError(f"need l coprime to rst; l={l} divides")
-        keys = {l: (FreyFamily.GENERAL_ABC.name, 3, l, None) for l in s_primes}
-        return make_config(
-            n_value=None, n0=1, u0=8, p_n=3, s_primes=s_primes, k=k,
-            s1=set(), n1_s=8 * p0, nk_s=8 * ks, e0=1,
-            vols=_vols_from_table(tables, keys),
-            provenance=f"general signatures ({r},{s},{t}), odd part",
-        )
-
-    if family_case in ("twothree-u0", "twothree-t", "twothree-q"):
+        base_u0, n1_s, u0p = 8, case.m * p0, u0 or 8
+    elif case.family == "TWO_THREE":
         (t,) = exponents
         if t < 11:
             raise ConfigError("the (2,3,t) family needs t >= 11")
-        for l in s_primes:
-            if l < 11 or l == 13:
-                raise ConfigError("the (2,3,t) family needs l >= 11, l != 13")
-        if family_case == "twothree-u0":
-            uu = u0 or 11
-            if not 11 <= uu <= t:
-                raise ConfigError(f"need 11 <= u0 <= t, got u0={uu}")
-            keys = {l: (FreyFamily.TWO_THREE.name, 1, l, None) for l in s_primes}
-            return make_config(
-                n_value=None, n0=1728, u0=uu, p_n=2, s_primes=s_primes, k=k,
-                s1={2, 3}, n1_s=uu, nk_s=ks, e0=12,
-                vols=_vols_from_table(tables, keys),
-                provenance=f"(2,3,{t}) with u0={uu}",
-            )
-        if family_case == "twothree-t":
-            for l in s_primes:
-                if t % l == 0:
-                    raise ConfigError(f"need l coprime to t; l={l} divides t={t}")
-            keys = {l: (FreyFamily.TWO_THREE.name, 1, l, None) for l in s_primes}
-            return make_config(
-                n_value=None, n0=1728, u0=t, p_n=2, s_primes=s_primes, k=k,
-                s1={2, 3}, n1_s=p0 * t, nk_s=ks, e0=12,
-                vols=_vols_from_table(tables, keys),
-                provenance=f"(2,3,{t}) with u0=t",
-            )
-        if q is None or q < 5 or t % q != 0:
+        if any(l < 11 or l == 13 for l in s_primes):
+            raise ConfigError("the (2,3,t) family needs l >= 11, l != 13")
+        base_u0 = (u0 or 11) if family_case == "twothree-u0" else t
+        if not 11 <= base_u0 <= t:
+            raise ConfigError(f"need 11 <= u0 <= t, got u0={base_u0}")
+        n1_s = p0 * t if family_case == "twothree-t" else base_u0
+        if family_case == "twothree-q" and (q is None or q < 5 or t % q or not is_prime(q)):
             raise ConfigError("need a prime q >= 5 dividing t")
-        for l in s_primes:
-            if (q * (q * q - 1)) % l == 0:
-                raise ConfigError(f"need l coprime to q(q^2-1); l={l}")
-        keys = {l: (FreyFamily.TWO_THREE.name, 2, l, q) for l in s_primes}
-        return make_config(
-            n_value=None, n0=27, u0=t, p_n=3, s_primes=s_primes, k=k,
-            s1={3}, n1_s=t, nk_s=ks, e0=2,
-            vols=_vols_from_table(tables, keys, extra=log_atom(2)),
-            provenance=f"(2,3,{t}) odd part with q={q}",
-        )
-
-    if family_case in ("threers", "threers-2tor"):
+    else:
         r, s = exponents
         if r < 4 or s < 7:
             raise ConfigError("the cube family needs r >= 4, s >= 7")
-        for l in s_primes:
-            if l < 11 or l == 13:
-                raise ConfigError("the cube family needs l >= 11, l != 13")
-        uu = u0 or 7
-        if not 7 <= uu <= min(3 * r, s):
-            raise ConfigError(f"need 7 <= u0 <= min(3r, s), got u0={uu}")
-        primed = None
-        if situation == "a":
-            u0p = min(3 * r, s)
-            primed = PrimedBlock(u0p, max(u0p, 2 * p0), 27, "p | N")
-        elif situation == "c":
-            primed = _threers_situation_c(exponents, s_primes, p0, variant)
-        elif situation != "b":
-            raise ConfigError(f"unknown situation {situation!r}")
-        if family_case == "threers":
-            keys = {l: (FreyFamily.THREE_RS.name, 1, l, None) for l in s_primes}
-            return make_config(
-                n_value=None, n0=27, u0=uu, p_n=2, s_primes=s_primes, k=k,
-                s1={3}, n1_s=p0, nk_s=ks, e0=12,
-                vols=_vols_from_table(tables, keys), primed=primed,
-                provenance=f"cube family ({r},{s}), situation {situation}",
-            )
-        keys = {l: (FreyFamily.THREE_RS.name, 2, l, None) for l in s_primes}
-        return make_config(
-            n_value=None, n0=27, u0=uu, p_n=3, s_primes=s_primes, k=k,
-            s1={3}, n1_s=p0, nk_s=ks, e0=4,
-            vols=_vols_from_table(tables, keys, extra=log_atom(2)), primed=primed,
-            provenance=f"cube family ({r},{s}) odd part, situation {situation}",
-        )
+        if any(l < 11 or l == 13 for l in s_primes):
+            raise ConfigError("the cube family needs l >= 11, l != 13")
+        base_u0 = u0 or 7
+        if not 7 <= base_u0 <= min(3 * r, s):
+            raise ConfigError(f"need 7 <= u0 <= min(3r, s), got u0={base_u0}")
+        n1_s, u0p = p0, min(3 * r, s)
+    for l in s_primes:  # the cases whose lemma needs S coprime to a product
+        if family_case == "general-2tor" and (r * s * t) % l == 0:
+            raise ConfigError(f"need l coprime to rst; l={l} divides")
+        if family_case == "twothree-t" and t % l == 0:
+            raise ConfigError(f"need l coprime to t; l={l} divides t={t}")
+        if family_case == "twothree-q" and (q * (q * q - 1)) % l == 0:
+            raise ConfigError(f"need l coprime to q(q^2-1); l={l}")
 
-    raise ConfigError(f"unknown family case {family_case!r}")
+    if situation not in ("a", "b", "c"):
+        raise ConfigError(f"unknown situation {situation!r}")
+    if case.primed is None and situation != "a":
+        raise ConfigError(f"{family_case} has no primed block; situation must be 'a'")
+    if variant is not None and situation != "c":
+        raise ConfigError(f"variant {variant!r} applies only to situation c")
+    primed = None
+    if situation == "a" and case.primed:
+        primed = PrimedBlock(u0p, max(u0p, 2 * p0), case.n0, "p | N")
+    elif situation == "c":
+        primed = _situation_c(case, exponents, s_primes, variant)
 
-
-def _general_situation_c(exponents, s_primes, p0, variant) -> PrimedBlock:
-    t, r, s = sorted(exponents)  # the lemma's labels satisfy s >= r >= t
-    choices = {}
-    if all((r * s * t) % l for l in s_primes):
-        choices["rst"] = PrimedBlock(2 * t, 2 * t * p0, 2**8, "p | xyz")
-    if all((r * s) % l for l in s_primes):
-        choices["rs"] = PrimedBlock(2 * r, 2 * r * p0, 2**8, "p | xy")
-    if all(s % l for l in s_primes):
-        choices["s"] = PrimedBlock(2 * s, 2 * s * p0, 2**8, "p | x")
-    return _pick_variant(choices, variant)
+    raw = {} if tables is None else tables.raw
+    key_q = q if family_case == "twothree-q" else None
+    extra = log_atom(2) if case.vol_log2 else 0
+    vols = {l: raw.get((case.family, case.kind, l, key_q)) for l in s_primes}
+    vols = {l: None if v is None else LinLog.of(v) + extra for l, v in vols.items()}
+    return make_config(
+        n_value=None, n0=case.n0, u0=base_u0, p_n=case.p_n, s_primes=s_primes, k=k,
+        s1=case.s1, n1_s=n1_s, nk_s=nk_s, e0=case.e0, vols=vols, primed=primed,
+        provenance=case.provenance.format(exps=",".join(map(str, exponents)),
+                                          situation=situation, u0=base_u0, q=q),
+    )
 
 
-def _threers_situation_c(exponents, s_primes, p0, variant) -> PrimedBlock:
-    r, s = exponents
-    choices = {}
-    if all((r * s) % l for l in s_primes):
-        choices["rs"] = PrimedBlock(min(3 * r, s), min(3 * r, s) * p0, 27, "p | xy")
-    if all(r % l for l in s_primes):
-        choices["r"] = PrimedBlock(2 * r, 2 * r * p0, 27, "p | x")
-    if all(s % l for l in s_primes):
-        choices["s"] = PrimedBlock(s, s * p0, 27, "p | y")
-    return _pick_variant(choices, variant)
-
-
-def _pick_variant(choices: dict[str, PrimedBlock], variant: str | None) -> PrimedBlock:
+def _situation_c(case: _Case, exponents, s_primes, variant) -> PrimedBlock:
+    """The named situation-c branch, or the first whose product is coprime to S."""
+    if case.primed == "general":
+        t, r, s = sorted(exponents)  # the lemma's labels satisfy s >= r >= t
+        branches = (("rst", r * s * t, 2 * t, "p | xyz"), ("rs", r * s, 2 * r, "p | xy"),
+                    ("s", s, 2 * s, "p | x"))
+    else:
+        r, s = exponents
+        branches = (("rs", r * s, min(3 * r, s), "p | xy"), ("r", r, 2 * r, "p | x"),
+                    ("s", s, s, "p | y"))
+    choices = {name: PrimedBlock(u0p, u0p * s_primes[0], case.n0, label)
+               for name, product, u0p, label in branches if all(product % l for l in s_primes)}
     if not choices:
         raise ConfigError("no situation-c branch has its divisibility condition met")
-    if variant is None:
-        return next(iter(choices.values()))
-    if variant not in choices:
-        raise ConfigError(
-            f"situation-c branch {variant!r} unavailable; valid: {sorted(choices)}"
-        )
-    return choices[variant]
+    name = next(iter(choices)) if variant is None else variant
+    if name not in choices:
+        raise ConfigError(f"situation-c branch {name!r} unavailable; valid: {sorted(choices)}")
+    return choices[name]
 
 
 def certificate(cfg: BoundConfig, result: EliminationResult) -> dict:

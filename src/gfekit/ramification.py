@@ -141,9 +141,6 @@ class VolTable:
         self.raw[key] = Fraction(value)
         self.provenance[str(key)] = provenance
 
-    def has_raw(self, key: tuple) -> bool:
-        return key in self.raw
-
 
 def vol_lookup(table: VolTable, key: tuple) -> Fraction:
     """Raw Vol enclosure for a dataset key; loud if unconfigured."""

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib
 import json
@@ -124,6 +125,43 @@ def test_bounds_with_config(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["verdict"] in ("excluded-interval", "not-applicable")
     assert "constants" in payload
+
+
+# Each call below has its Vol constants configured, so only the check it names
+# stops it: a composite element of S or q, or a situation or variant the case
+# does not use.
+_VOL_ENTRIES = (
+    [{"family": "GENERAL_ABC", "kind": 1, "l": l, "value": "0.25"} for l in (11, 13, 15, 25)]
+    + [{"family": "GENERAL_ABC", "kind": 3, "l": l, "value": "0.25"} for l in (17, 19)]
+    + [{"family": "TWO_THREE", "kind": 2, "l": l, "q": 9, "value": "0.25"} for l in (17, 19)]
+)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("general", "5", "7", "11", "--set", "11", "15"), "every element of S must be prime"),
+    (("general", "5", "7", "11", "--set", "15", "25", "--situation", "c", "--variant", "rst"),
+     "every element of S must be prime"),
+    (("twothree-q", "45", "--set", "17", "19", "--q", "9"), "need a prime q >= 5 dividing t"),
+    (("general-2tor", "5", "7", "11", "--set", "17", "19", "--situation", "c",
+      "--variant", "rs"), "general-2tor has no primed block; situation must be 'a'"),
+    (("general", "5", "7", "11", "--set", "11", "13", "--situation", "b", "--variant", "zz"),
+     "variant 'zz' applies only to situation c"),
+])
+def test_bounds_rejects_composite_and_ignored_options(capsys, tmp_path, argv, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema_version": 1, "vol_tables": _VOL_ENTRIES}))
+    code, out, err = run(capsys, "--config", str(path), "bounds", *argv)
+    assert code == 1 and out == ""
+    assert message in err
+
+
+def test_bounds_choices_are_the_case_table():
+    from gfekit.bounds import _CASES
+
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    scenario_arg = next(a for a in commands.choices["bounds"]._actions if a.dest == "scenario")
+    assert list(scenario_arg.choices) == list(_CASES)
 
 
 def test_scan_small_z1_tiny(capsys):
