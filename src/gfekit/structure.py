@@ -84,6 +84,17 @@ def _table_primes_of(n: int, table: tuple[int, ...]) -> frozenset[int]:
     return frozenset(p for p in table if n % p == 0)
 
 
+def _below_log(q: Fraction, p: int) -> bool:
+    """Certified q < log p: screened by the cached rationals lo < log p < hi,
+    with the interval comparison only for q inside [lo, hi]."""
+    lo, hi = log_bounds(p)
+    if q < lo:
+        return True
+    if q > hi:
+        return False
+    return LinLog.of(q) < log_atom(p)
+
+
 def _general_pool(r: int, l: int) -> list[int]:
     """The comparison primes left at exponent r: neither l nor a divisor of r."""
     return [p for p in _GENERAL_POOL if p != l and r % p]
@@ -253,12 +264,10 @@ def general_v2_sieve() -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def general_x1_collapse_threshold() -> int:
     """Least r0 such that for every exponent >= r0 the smooth part is 1."""
-    log3 = log_atom(3)
-
     def collapses(r: int) -> bool:
         for p in _GENERAL_POOL:
             if r % p:
-                return LinLog.of(Fraction(_GENERAL_TABLE[p], r - 4)) < log3
+                return _below_log(Fraction(_GENERAL_TABLE[p], r - 4), 3)
         return False
 
     r0 = None
@@ -324,11 +333,10 @@ def threers_collapse_threshold() -> int:
     """Least r0 with x = 2^(2-exponent) for every exponent >= r0."""
     _, r3_max = threers_v3_sieve()
     rl_gone = threers_rl_product_cap() + 1
-    log5 = log_atom(5)
     a2_worst = _THREERS_TABLE[sorted(_THREERS_TABLE)[2]]  # some l <= 23 is free
 
     def smooth_gone(r: int) -> bool:
-        return LinLog.of(a2_worst / (3 * r - _A1_SUP_THREERS)) < log5
+        return _below_log(a2_worst / (3 * r - _A1_SUP_THREERS), 5)
 
     r0 = max(r3_max + 1, rl_gone)
     while not smooth_gone(r0):

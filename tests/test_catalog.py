@@ -261,3 +261,49 @@ def test_count_result_mutation_does_not_reach_the_next_result():
     assert len(again.ledger) == again.count
     assert again.excluded[0]["citation"] != "edited"
     assert len(again.excluded[0]["signature"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# The registry's remaining-family windows, derived from the structure layer.
+
+
+def test_twothree_window_is_the_admissible_t_sieve():
+    from gfekit.structure import twothree_admissible_t
+
+    remaining = tuple(n for n in range(7, 400)
+                      if status(Signature(2, 3, n)).state is State.REMAINING)
+    assert remaining == twothree_admissible_t(400)
+    assert len(remaining) == 56
+
+
+def test_exponent_windows_are_the_structure_caps():
+    from gfekit.structure import general_v2_sieve, threers_exponent_range
+
+    windows = {(4, 5): general_v2_sieve()[1], (4, 7): general_v2_sieve()[1],
+               (5, 6): general_v2_sieve()[1], (3, 7): threers_exponent_range()[1],
+               (3, 11): threers_exponent_range()[1]}
+    assert set(windows.values()) == {303, 667}
+    for (a, b), cap in windows.items():
+        own = [n for n in range(2, 2 * cap)
+               for st in [status(Signature(a, b, n))]
+               if st.state is State.REMAINING and st.provenance.startswith(f"({a},{b},n)")]
+        assert own and max(own) <= cap, (a, b)
+        # Every member cites the family window ending at the structure cap.
+        assert all(status(Signature(a, b, n)).provenance.endswith(f"<= n <= {cap}")
+                   for n in own), (a, b)
+
+
+def test_general_window_303_and_301_give_the_same_ledgers(tmp_path):
+    # 302 and 303 fall to modulus exclusions, so no count rests on the
+    # registry's 303 (the structure cap) against the published 301.
+    reg = load_registry()
+    edited = dict(reg, remaining_families=[
+        dict(f, n_max=301) if f["id"] in ("f-45n", "f-47n", "f-56n") else f
+        for f in reg["remaining_families"]])
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps(edited))
+    for mode in ("ge4", "beal"):
+        shipped = count_remaining(mode)
+        narrowed = count_remaining(mode, registry_path=str(path))
+        assert (narrowed.count, narrowed.ledger) == (shipped.count, shipped.ledger)
+        assert narrowed.ledger_hash == shipped.ledger_hash

@@ -338,6 +338,12 @@ def _loaded_after(code: str, *argv: str) -> set[str]:
     return set(proc.stderr.split())
 
 
+def test_catalog_does_not_import_structure():
+    # structure loads mpmath, which `count` must never pay for.
+    loaded = _loaded_after("import gfekit.catalog")
+    assert "gfekit.structure" not in loaded and "mpmath" not in loaded
+
+
 def test_importing_the_cli_loads_no_layer():
     loaded = _loaded_after("import gfekit.cli")
     assert {m for m in loaded if m.startswith("gfekit")} == {
@@ -363,3 +369,11 @@ def test_command_loads_only_its_layers(argv, unused):
     loaded = _loaded_after("import sys\nfrom gfekit.cli import command_dispatch\n"
                            "assert command_dispatch(sys.argv[1:]) == 0", *argv)
     assert not loaded & unused
+
+
+def test_indent1_json_matches_the_json_module():
+    samples = [{}, [], (), 0, -7, 2.5, True, None, "é\n\"]",
+               {"b": [1, 2, [3, []]], "a": {"z": (True, None, "x"), "y": {}},
+                "c": [{"k": 1.0}, 3, "s"], "d": [False, 1]}]
+    for obj in samples:
+        assert cli._indent1_json(obj) == json.dumps(obj, indent=1, sort_keys=True)

@@ -1,9 +1,14 @@
+import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from gfekit import linlog
+from gfekit import linlog, structure
+from gfekit.linlog import LinLog, log_atom, log_bounds
+from gfekit.ramification import A2_TABLES, a1_coefficient
 from gfekit.structure import (
+    GENERAL_EXPONENT_MAX,
     general_rl_cap,
     general_rl_product_cap,
     general_v2_sieve,
@@ -82,6 +87,77 @@ def test_exponent_sieves_settle_at_the_initial_precision(monkeypatch):
 
 def test_general_x1_collapse():
     assert general_x1_collapse_threshold() == 69
+
+
+def _general_collapse_ratio(r):
+    """a2(p)/(r - 4) at the least comparison prime p not dividing r."""
+    table = A2_TABLES["general-2tor"]
+    p = next(p for p in sorted(table) if r % p)
+    return Fraction(table[p], r - 4)
+
+
+def _threers_collapse_ratio(r):
+    """a2 at the third cube-table prime over 3r - a1_sup."""
+    table = A2_TABLES["threers-2tor"]
+    return table[sorted(table)[2]] / (3 * r - structure._A1_SUP_THREERS)
+
+
+def test_screened_collapse_predicates_equal_the_certified_comparison():
+    for r in range(5, GENERAL_EXPONENT_MAX + 1):
+        q = _general_collapse_ratio(r)
+        assert structure._below_log(q, 3) == (LinLog.of(q) < log_atom(3)), r
+    for r in range(7, 668):
+        q = _threers_collapse_ratio(r)
+        assert structure._below_log(q, 5) == (LinLog.of(q) < log_atom(5)), r
+
+
+def _count_intervals(monkeypatch):
+    calls = [0]
+    interval = LinLog.interval
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return interval(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinLog, "interval", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_below_log_screens_outside_the_window_and_falls_back_inside(p, monkeypatch):
+    lo, hi = log_bounds(p)
+    near = Fraction(math.log(p))
+    assert lo < near < hi
+    with mpmath.workprec(256):  # an oracle independent of linlog
+        near_below = mpmath.mpf(near.numerator) / near.denominator < mpmath.log(p)
+    calls = _count_intervals(monkeypatch)
+    assert structure._below_log(lo - Fraction(1, 10**12), p)
+    assert not structure._below_log(hi + Fraction(1, 10**12), p)
+    assert calls[0] == 0  # decided by the cached rationals alone
+    for q, below in ((lo, True), (hi, False), (near, near_below)):
+        before = calls[0]
+        assert structure._below_log(q, p) is below, q
+        assert calls[0] > before  # inside [lo, hi]: the certified fallback ran
+
+
+def test_collapse_thresholds_need_almost_no_interval_evaluations(monkeypatch):
+    # Warm what the thresholds read from other caches, so only their own
+    # comparisons are counted (612 and 531 before the rational screen).
+    threers_v3_sieve(), threers_rl_product_cap(), threers_v2_product_cap()
+    log_bounds(3), log_bounds(5)
+    calls = _count_intervals(monkeypatch)
+    assert general_x1_collapse_threshold.__wrapped__() == 69
+    assert calls[0] <= 10
+    calls[0] = 0
+    assert threers_collapse_threshold.__wrapped__() == 138
+    assert calls[0] <= 10
+
+
+@pytest.mark.parametrize("kind", ["threers-2tor", "threers-mu6"])
+def test_a1_sup_bounds_the_cube_tables(kind):
+    # The smooth-collapse predicate is sound only if a1 < _A1_SUP_THREERS.
+    for l in A2_TABLES[kind]:
+        assert 6 < a1_coefficient(kind, l) < structure._A1_SUP_THREERS, l
 
 
 def test_threers_caps():
