@@ -20,11 +20,9 @@ from fractions import Fraction
 
 from .errors import CheckpointMismatch
 from .linlog import LinLog, log_bounds
-from .ramification import A2_TABLES
-from .ramification import a1_coefficient
 from .search import (SolutionRecord, check_pair, check_power_tail,
                      enumerate_candidates)
-from .structure import structure_profile
+from .structure import StructureProfile, structure_profile, values_coprime_to
 
 __all__ = [
     "CampaignPlan",
@@ -69,11 +67,7 @@ class CampaignPlan:
     meta: dict = field(default_factory=dict)
 
     def plan_hash(self) -> str:
-        return _sha(_canonical({
-            "name": self.name,
-            "meta": self.meta,
-            "tasks": [t.as_dict() for t in self.tasks],
-        }))
+        return _sha(_canonical(self.as_dict()))
 
     def as_dict(self) -> dict:
         return {"name": self.name, "meta": self.meta,
@@ -255,9 +249,8 @@ def run_campaign(
 
     ckpt = None
     if checkpoint_path:
-        fresh = not os.path.exists(checkpoint_path) or not done
         ckpt = open(checkpoint_path, "a")
-        if fresh and os.path.getsize(checkpoint_path) == 0:
+        if os.path.getsize(checkpoint_path) == 0:
             ckpt.write(_canonical({"plan_hash": phash}) + "\n")
             ckpt.flush()
 
@@ -295,8 +288,6 @@ def _choose_l(*exponents: int, given: int | None = None) -> int:
     if given is not None:
         if given not in _PLAN_L_CHOICES:
             raise ValueError(f"l must come from {_PLAN_L_CHOICES}")
-        if any(e % given == 0 for e in exponents):
-            raise ValueError(f"l={given} divides an exponent")
         return given
     for l in _PLAN_L_CHOICES:
         if all(e % l for e in exponents):
@@ -305,9 +296,15 @@ def _choose_l(*exponents: int, given: int | None = None) -> int:
 
 
 def _smooth_values_under(cap: Fraction, coprime_to: tuple[int, ...],
-                         limit: int | None) -> list[int]:
-    top = LinLog.of(cap).floor_exp(at_most=limit)
-    return [m for m in range(1, top + 1) if all(m % p for p in coprime_to)]
+                         limit: int | None) -> tuple[int, ...]:
+    return values_coprime_to(LinLog.of(cap).floor_exp(at_most=limit), coprime_to)
+
+
+def _pair_cap(prof: StructureProfile, name: str) -> Fraction:
+    if name not in prof.pair_caps:
+        raise ValueError(f"structure profile of {prof.exponents} at "
+                         f"l={prof.aux_prime} grants no {name!r} cap")
+    return prof.pair_caps[name]
 
 
 def _spec_for(profile_var, smooth: int, l: int, box_limit: int | None) -> dict:
@@ -328,10 +325,8 @@ def build_p1_plan(r: int, s: int, *, l: int | None = None,
     if not 4 <= r <= s < 70:
         raise ValueError("plan needs 4 <= r <= s < 70")
     l = _choose_l(r, s, given=l)
-    a1 = a1_coefficient("general-2tor-alt", l)
-    a2 = Fraction(A2_TABLES["general-2tor-alt"][l])
-    cap = a2 / (Fraction(r) + Fraction(s) - 2 * a1)
-    prof = structure_profile("general", (max(r, 4), max(s, 4), 70), l)
+    prof = structure_profile("general", (r, s, 70), l)
+    cap = _pair_cap(prof, "min-single")
     tasks = []
     for name, expo, other in (("x", r, s), ("y", s, r)):
         var = prof.variables[name]
@@ -353,48 +348,36 @@ def build_p1_plan(r: int, s: int, *, l: int | None = None,
 
 def _pair_plan(kind: str, r: int, s: int, t: int, l: int | None,
                box_limit: int | None) -> CampaignPlan:
+    if kind == "P2" and not t >= r + s - 3:
+        raise ValueError("P2 needs t >= r + s - 3")
+    if kind == "P3" and not t <= r + s - 4:
+        raise ValueError("P3 needs t <= r + s - 4")
     l = _choose_l(r, s, t, given=l)
-    a1 = a1_coefficient("general-2tor-alt", l)
-    a2 = Fraction(A2_TABLES["general-2tor-alt"][l])
-    rp, sp, tp = Fraction(r) - a1, Fraction(s) - a1, Fraction(t) - a1
     prof = structure_profile("general", (r, s, t), l)
-    # Each group bounds ca*log(smooth_a) + cb*log(smooth_b) by budget.
+    # Each group (a, b, third) admits log(sa)/A + log(sb)/B <= 1.
     if kind == "P2":
-        if not t >= r + s - 3:
-            raise ValueError("P2 needs t >= r + s - 3")
-        budget, ca, cb = a2, rp + sp, tp
-        groups = [("x", r, "z", t, s), ("y", s, "z", t, r)]
+        cap_a, cap_b = _pair_cap(prof, "min-single"), _pair_cap(prof, "largest-single")
+        groups = [("x", "z", "y"), ("y", "z", "x")]
     else:
-        if not t <= r + s - 4:
-            raise ValueError("P3 needs t <= r + s - 4")
-        budget, ca, cb = 2 * a2 / (rp + sp + tp), 1, 1
-        groups = [("x", r, "y", s, t), ("x", r, "z", t, s), ("y", s, "z", t, r)]
+        cap_a = cap_b = _pair_cap(prof, "min-pair-product")
+        groups = [("x", "y", "z"), ("x", "z", "y"), ("y", "z", "x")]
     tasks = []
-    for na, ea, nb, eb, third in groups:
-        coprime_a = prof.variables[na].smooth_coprime_to
-        coprime_b = prof.variables[nb].smooth_coprime_to
-        for sa in _smooth_values_under(budget / ca, coprime_a, box_limit):
-            rem = budget - ca * log_bounds(sa)[1]
-            for sb in _smooth_values_under(rem / cb, coprime_b, box_limit):
-                tasks.append(_pair_task(prof, na, sa, ea, nb, sb, eb,
-                                        [third], l, box_limit))
+    for na, nb, nc in groups:
+        va, vb = prof.variables[na], prof.variables[nb]
+        for sa in _smooth_values_under(cap_a, va.smooth_coprime_to, box_limit):
+            # A lower bound on log sa can only widen the sb range: no pair is lost.
+            rem = cap_b * (1 - log_bounds(sa)[0] / cap_a)
+            for sb in _smooth_values_under(rem, vb.smooth_coprime_to, box_limit):
+                tasks.append(Task(
+                    task_id=f"pair-{na}{sa}-{nb}{sb}-e{va.exponent}x{vb.exponent}",
+                    kind="pair",
+                    params={"a": _spec_for(va, sa, l, box_limit), "r": va.exponent,
+                            "b": _spec_for(vb, sb, l, box_limit), "s": vb.exponent,
+                            "t_set": [prof.variables[nc].exponent]},
+                ))
     return CampaignPlan(
         name=f"{kind}({r},{s},{t};l={l})", tasks=tasks,
         meta={"r": r, "s": s, "t": t, "l": l, "box_limit": box_limit},
-    )
-
-
-def _pair_task(prof, na, sa, ea, nb, sb, eb, t_set, l, box_limit) -> Task:
-    return Task(
-        task_id=f"pair-{na}{sa}-{nb}{sb}-e{ea}x{eb}",
-        kind="pair",
-        params={
-            "a": _spec_for(prof.variables[na], sa, l, box_limit),
-            "r": ea,
-            "b": _spec_for(prof.variables[nb], sb, l, box_limit),
-            "s": eb,
-            "t_set": sorted(t_set),
-        },
     )
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "threers_exponent_range",
     "threers_lpart_candidates",
     "twothree_admissible_t",
+    "values_coprime_to",
     "GENERAL_EXPONENT_MAX",
 ]
 
@@ -95,6 +96,11 @@ def _below_log(q: Fraction, p: int) -> bool:
     return LinLog.of(q) < log_atom(p)
 
 
+def values_coprime_to(top: int, primes: tuple[int, ...]) -> tuple[int, ...]:
+    """The integers 1..top divisible by none of the given primes."""
+    return tuple(m for m in range(1, top + 1) if all(m % p for p in primes))
+
+
 def _general_pool(r: int, l: int) -> list[int]:
     """The comparison primes left at exponent r: neither l nor a divisor of r."""
     return [p for p in _GENERAL_POOL if p != l and r % p]
@@ -138,7 +144,7 @@ def xl_candidates(r: int, l: int) -> tuple[int, ...]:
         if new_bound >= bound:
             break
         bound = new_bound
-    return tuple(m for m in range(1, LinLog.of(bound).floor_exp() + 1, 2) if m % l)
+    return values_coprime_to(LinLog.of(bound).floor_exp(), (2, l))
 
 
 def general_rl_cap(r: int, l: int) -> int:
@@ -362,11 +368,9 @@ def threers_lpart_candidates(r: int, s: int, l: int) -> tuple[tuple[int, ...], t
     table = sorted(_THREERS_TABLE)
     coeff = {"x": Fraction(3 * r),
              "y": Fraction(3 * s) if r >= 8 else Fraction(20 * s, 7)}
+    avoid = (2, 3, l)
     caps = {side: max(1, LinLog.of(Fraction(THREERS_X2_CAP, expo * l)).floor_exp())
             for side, expo in (("x", r), ("y", s))}
-
-    def to_set(cap: int) -> tuple[int, ...]:
-        return tuple(m for m in range(1, cap + 1) if m % 2 and m % 3 and m % l)
 
     def refine(side: str) -> int:
         other = "y" if side == "x" else "x"
@@ -377,14 +381,14 @@ def threers_lpart_candidates(r: int, s: int, l: int) -> tuple[tuple[int, ...], t
         bound = (LinLog.of(_THREERS_TABLE[q])
                  + log_of_int(max(1, caps[side] * caps[other]), _A1_SUP_THREERS)
                  ) / (coeff[side] * l - _A1_SUP_THREERS)
-        return max(to_set(bound.floor_exp(at_most=caps[side])), default=1)
+        return max(values_coprime_to(bound.floor_exp(at_most=caps[side]), avoid), default=1)
 
     for _ in range(4):
         nxt = {side: refine(side) for side in ("x", "y")}
         if nxt == caps:
             break
         caps = nxt
-    return to_set(caps["x"]), to_set(caps["y"])
+    return values_coprime_to(caps["x"], avoid), values_coprime_to(caps["y"], avoid)
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +416,15 @@ def twothree_admissible_t(limit: int = 1000) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _late_cap(caps: tuple[tuple[int, int], ...], t: int) -> int | None:
+    """The tightest of the (floor, cap) pairs whose floor t reaches."""
+    return min((cap for floor, cap in caps if t >= floor), default=None)
+
+
 def _twothree_z6_possible(t: int) -> bool:
     """Is any coprime-to-6 part of z compatible with the caps at this t?"""
-    prime_cap = min((cap for floor, cap in TWOTHREE_PRIME_CAPS if t >= floor),
-                    default=None)
-    size_cap = min((cap for floor, cap in TWOTHREE_Z6_CAPS if t >= floor),
-                   default=None)
+    prime_cap = _late_cap(TWOTHREE_PRIME_CAPS, t)
+    size_cap = _late_cap(TWOTHREE_Z6_CAPS, t)
     if prime_cap is None or size_cap is None:
         return True
     allowed = [p for p in small_primes(prime_cap) if p >= 5]
@@ -458,8 +465,12 @@ class VariableProfile:
     cap_e3: int
     cap_el: int
     smooth_coprime_to: tuple[int, ...]   # primes excluded from the smooth part
-    forced_power_of_two: bool = False
     notes: tuple[str, ...] = ()
+
+    @property
+    def forced_power_of_two(self) -> bool:
+        """True when the smooth part is capped at log 1 = 0."""
+        return self.smooth_log_cap == 0
 
 
 @dataclass(frozen=True)
@@ -486,18 +497,15 @@ def _general_variable(name: str, expo: int, l: int) -> VariableProfile:
     else:
         xl = xl_candidates(expo, l)
         cap_el = min(rl_prod // expo, general_rl_cap(expo, l))
-    forced = False
     if expo >= general_x1_collapse_threshold():
         smooth_cap = Fraction(0)
-        forced = True
         notes.append(
             f"pure power of 2 for exponent >= {general_x1_collapse_threshold()}"
         )
     return VariableProfile(
         name=name, exponent=expo, smooth_log_cap=smooth_cap,
         lpart_candidates=xl, cap_e2=general_v2_sieve()[0] // expo, cap_e3=0,
-        cap_el=cap_el, smooth_coprime_to=(2, l), forced_power_of_two=forced,
-        notes=tuple(notes),
+        cap_el=cap_el, smooth_coprime_to=(2, l), notes=tuple(notes),
     )
 
 
@@ -562,7 +570,7 @@ def structure_profile(
                 lpart_candidates=lpart, cap_e2=v2_prod // expo,
                 cap_e3=0 if expo > r3_max else v3_prod // expo,
                 cap_el=rl_prod // expo, smooth_coprime_to=(2, 3, l),
-                forced_power_of_two=forced, notes=tuple(notes),
+                notes=tuple(notes),
             )
         pair_caps = {}
         if 3 * r >= s:
@@ -592,8 +600,7 @@ def structure_profile(
                 smooth_coprime_to=(2, 3),
             )
         else:
-            size_cap = min((cap for floor, cap in TWOTHREE_Z6_CAPS if t >= floor),
-                           default=None)
+            size_cap = _late_cap(TWOTHREE_Z6_CAPS, t)
             smooth = None if size_cap is None else log_bounds(size_cap)[1]
             var = VariableProfile(
                 name="z", exponent=t, smooth_log_cap=smooth,

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -17,6 +18,8 @@ from gfekit.campaign import (
     explicit_box_task,
     run_campaign,
 )
+from gfekit.linlog import LinLog, log_bounds, log_of_int
+from gfekit.structure import structure_profile
 
 
 def desk_plan() -> CampaignPlan:
@@ -35,14 +38,69 @@ def test_p3_plan_shape():
         build_p3_plan(4, 5, 6)  # 6 > 4 + 5 - 4
     with pytest.raises(ValueError):
         build_p2_plan(5, 6, 7)  # 7 < 5 + 6 - 3
+    with pytest.raises(ValueError):
+        build_p2_plan(4, 5, 11, l=11)  # the profile rejects l dividing t
     assert build_p2_plan(4, 5, 30, box_limit=4).tasks
 
 
 def test_smooth_values_under_coprime_example():
     # A log cap just above log 7 admits the odd values up to 7.
     cap = Fraction(math.log(7)).limit_denominator(10**6) + Fraction(1, 10**6)
-    assert campaign._smooth_values_under(cap, (2,), None) == [1, 3, 5, 7]
-    assert campaign._smooth_values_under(cap, (2, 3), 5) == [1, 5]
+    assert campaign._smooth_values_under(cap, (2,), None) == (1, 3, 5, 7)
+    assert campaign._smooth_values_under(cap, (2, 3), 5) == (1, 5)
+
+
+@pytest.mark.parametrize("build, exponents", [
+    (build_p1_plan, (4, 4)),
+    (build_p2_plan, (4, 4, 5)),
+    (build_p3_plan, (4, 4, 4)),
+])
+def test_exponents_at_a1_have_no_cap(build, exponents):
+    # a1(11) = 4, so two exponents 4 leave no weight for the single-smooth
+    # or pair-product cap: the profile grants none.
+    with pytest.raises(ValueError, match="grants no"):
+        build(*exponents, box_limit=6)
+
+
+@pytest.mark.parametrize("exponents", [(10, 4, 5), (10, 4, 4)])
+def test_p3_needs_the_profiles_pair_product_cap(exponents):
+    # The largest weight exceeds the sum of the other two, so the joint
+    # pair-product cap does not hold.
+    with pytest.raises(ValueError, match="min-pair-product"):
+        build_p3_plan(*exponents, box_limit=6)
+
+
+P2_GROUPS = (("x", "z"), ("y", "z"))
+P3_GROUPS = (("x", "y"), ("x", "z"), ("y", "z"))
+
+
+@pytest.mark.parametrize("build, exponents, caps, groups", [
+    (build_p2_plan, (4, 5, 8), ("min-single", "largest-single"), P2_GROUPS),
+    (build_p3_plan, (4, 5, 5), ("min-pair-product", "min-pair-product"), P3_GROUPS),
+    (build_p3_plan, (5, 6, 7), ("min-pair-product", "min-pair-product"), P3_GROUPS),
+])
+def test_pair_plan_smooth_parts_match_brute_force(build, exponents, caps, groups):
+    # A pair (sa, sb) is admitted when log(sb)/B + lo(sa)/A <= 1, with
+    # lo(sa) the certified lower bound of log sa and every decision certified.
+    plan = build(*exponents, box_limit=20)
+    prof = structure_profile("general", exponents, plan.meta["l"])
+    cap_a, cap_b = (prof.pair_caps[name] for name in caps)
+    expect = set()
+    for na, nb in groups:
+        for sa in range(1, 21):
+            if any(sa % p == 0 for p in prof.variables[na].smooth_coprime_to):
+                continue
+            if log_of_int(sa) > LinLog.of(cap_a):
+                continue
+            rem = LinLog.of(cap_b - cap_b * log_bounds(sa)[0] / cap_a)
+            expect |= {(na, sa, nb, sb) for sb in range(1, 21)
+                       if all(sb % p for p in prof.variables[nb].smooth_coprime_to)
+                       and log_of_int(sb) <= rem}
+    got = []
+    for t in plan.tasks:
+        na, nb = re.match(r"pair-([xyz])\d+-([xyz])", t.task_id).groups()
+        got.append((na, t.params["a"]["smooth"], nb, t.params["b"]["smooth"]))
+    assert sorted(got) == sorted(expect)
 
 
 @pytest.mark.parametrize("build, exponents, tasks, digest", [
