@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 _PLAN_L_CHOICES = (11, 13, 17, 19)
+# The most smooth parts one coordinate of a plan may list: a larger cap with
+# no box_limit would build a list no run can hold (P2(4,5,8) has cap 71).
+_SMOOTH_PART_MAX = 10**6
 # Tasks per pool round trip at shards > 1. One task per trip adds a
 # measurable per-task cost on plans of small boxes; a larger chunk delays the
 # checkpoint record of every task in it.
@@ -300,11 +303,23 @@ def _smooth_values_under(cap: Fraction, coprime_to: tuple[int, ...],
     return values_coprime_to(LinLog.of(cap).floor_exp(at_most=limit), coprime_to)
 
 
-def _pair_cap(prof: StructureProfile, name: str) -> Fraction:
+def _pair_cap(prof: StructureProfile, name: str, box_limit: int | None) -> Fraction:
+    """The profile's log cap `name` on a smooth part.
+
+    A plan lists every smooth part up to e^cap, or up to box_limit, so a cap
+    that would list more than _SMOOTH_PART_MAX values is refused here, before
+    any list is built.
+    """
+    where = f"structure profile of {prof.exponents} at l={prof.aux_prime}"
     if name not in prof.pair_caps:
-        raise ValueError(f"structure profile of {prof.exponents} at "
-                         f"l={prof.aux_prime} grants no {name!r} cap")
-    return prof.pair_caps[name]
+        raise ValueError(f"{where} grants no {name!r} cap")
+    cap = prof.pair_caps[name]
+    if (box_limit is None or box_limit > _SMOOTH_PART_MAX) and \
+            LinLog.of(cap).floor_exp(at_most=_SMOOTH_PART_MAX + 1) > _SMOOTH_PART_MAX:
+        raise ValueError(f"{where}: {name!r} cap {float(cap):.2f} admits smooth "
+                         f"parts above {_SMOOTH_PART_MAX}; give a box_limit "
+                         f"<= {_SMOOTH_PART_MAX}")
+    return cap
 
 
 def _spec_for(profile_var, smooth: int, l: int, box_limit: int | None) -> dict:
@@ -326,7 +341,7 @@ def build_p1_plan(r: int, s: int, *, l: int | None = None,
         raise ValueError("plan needs 4 <= r <= s < 70")
     l = _choose_l(r, s, given=l)
     prof = structure_profile("general", (r, s, 70), l)
-    cap = _pair_cap(prof, "min-single")
+    cap = _pair_cap(prof, "min-single", box_limit)
     tasks = []
     for name, expo, other in (("x", r, s), ("y", s, r)):
         var = prof.variables[name]
@@ -356,10 +371,11 @@ def _pair_plan(kind: str, r: int, s: int, t: int, l: int | None,
     prof = structure_profile("general", (r, s, t), l)
     # Each group (a, b, third) admits log(sa)/A + log(sb)/B <= 1.
     if kind == "P2":
-        cap_a, cap_b = _pair_cap(prof, "min-single"), _pair_cap(prof, "largest-single")
+        cap_a = _pair_cap(prof, "min-single", box_limit)
+        cap_b = _pair_cap(prof, "largest-single", box_limit)
         groups = [("x", "z", "y"), ("y", "z", "x")]
     else:
-        cap_a = cap_b = _pair_cap(prof, "min-pair-product")
+        cap_a = cap_b = _pair_cap(prof, "min-pair-product", box_limit)
         groups = [("x", "y", "z"), ("x", "z", "y"), ("y", "z", "x")]
     tasks = []
     for na, nb, nc in groups:

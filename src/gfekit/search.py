@@ -80,23 +80,41 @@ def _mk_record(x, r, sx, y, s, sy, z, t) -> SolutionRecord:
 
 def enumerate_candidates(spec: dict) -> list[int]:
     """Candidate values for one coordinate from a generator spec, ascending
-    and duplicate-free.
+    and duplicate-free, as a fresh list.
 
     A spec is either {"values": [...]}, an explicit list, or
     {"smooth", "l", "e2_cap", "e3_cap", "el_cap", "lparts"}, which admits
     every smooth * 2^e2 * 3^e3 * l^el * lp^l with each exponent from 0 up to
-    its cap (a missing cap is 0) and lp from lparts (default [1]).
+    its cap (a missing cap is 0) and lp from lparts (default [1]). A
+    generator spec is expanded once per process and read from a bounded
+    cache after that; an explicit list is not cached.
     """
     if "values" in spec:
         return sorted(set(int(v) for v in spec["values"]))
-    l = spec["l"]
+    return list(_expand_spec(spec["smooth"], spec["l"], spec.get("e2_cap", 0),
+                             spec.get("e3_cap", 0), spec.get("el_cap", 0),
+                             tuple(spec.get("lparts", [1]))))
+
+
+# Entries kept by the per-process caches of spec expansions and of support
+# masks. P3(4,5,5) and P1(7,11) at box_limit=20 hold 36 distinct specs and
+# 1,323 distinct pair values; the bounds only keep a long run from growing
+# without end.
+_SPEC_CACHE_SIZE = 1024
+_MASK_CACHE_SIZE = 1 << 16
+
+
+@lru_cache(maxsize=_SPEC_CACHE_SIZE)
+def _expand_spec(smooth: int, l: int, e2_cap: int, e3_cap: int, el_cap: int,
+                 lparts: tuple[int, ...]) -> tuple[int, ...]:
+    """The sorted expansion of one generator spec (see enumerate_candidates)."""
     out = set()
-    for lp in spec.get("lparts", [1]):
-        for el in range(spec.get("el_cap", 0) + 1):
-            for e3 in range(spec.get("e3_cap", 0) + 1):
-                for e2 in range(spec.get("e2_cap", 0) + 1):
-                    out.add(spec["smooth"] * 2**e2 * 3**e3 * l**el * lp**l)
-    return sorted(out)
+    for lp in lparts:
+        for el in range(el_cap + 1):
+            for e3 in range(e3_cap + 1):
+                for e2 in range(e2_cap + 1):
+                    out.add(smooth * 2**e2 * 3**e3 * l**el * lp**l)
+    return tuple(sorted(out))
 
 
 # Primes below this bound give the coprimality masks of check_pair and the
@@ -146,21 +164,6 @@ def _root_sieves(exponents) -> list[tuple[int, int, bytes]]:
     return [(t, *_power_residues(t)) for t in ts]
 
 
-def _sieved_roots(value: int, sieves) -> list[tuple[int, int]]:
-    """(root, t) with root^t == value, for each (t, m, table) in sieves.
-
-    value >= 1. The residue table only rejects: a t it admits still gets the
-    exact integer_nth_root.
-    """
-    out = []
-    for t, m, table in sieves:
-        if table[value % m]:
-            root, exact = integer_nth_root(value, t)
-            if exact:
-                out.append((root, t))
-    return out
-
-
 def _candidate_values(candidates) -> list[int]:
     """The candidates as a list, after checking that each is >= 1."""
     vals = list(candidates)
@@ -169,37 +172,28 @@ def _candidate_values(candidates) -> list[int]:
     return vals
 
 
-def _support_masks(xs: list[int], ys: list[int]) -> tuple[list[int], list[int]]:
-    """Coprimality masks of both lists: x and y are coprime if their masks
+@lru_cache(maxsize=_MASK_CACHE_SIZE)
+def _support_mask(v: int) -> int:
+    """Coprimality mask of v >= 1: two values are coprime if their masks
     share no bit, and share a prime if they share a bit other than bit 0.
 
-    Bits from 1 up mark the primes below _SIEVE_PRIME_BOUND that divide some
-    x and some y. One gcd of each list's product with their primorial finds
-    the small primes of that list, so a value's small primes come from a gcd
-    with a small number. Bit 0 marks a cofactor > 1 left after those primes
-    are stripped: v has one exactly when v does not divide g^bits(v), g the
-    product of its small primes. Two values that both have bit 0 need
-    math.gcd to decide.
+    Bit i >= 1 marks the i-th prime below _SIEVE_PRIME_BOUND (bit 1 is 2),
+    set when it divides v; the assignment is fixed, so a value's mask does
+    not depend on the list it comes with. Bit 0 marks a cofactor > 1 left
+    after those primes are stripped: v has one exactly when v does not
+    divide g^bits(v), g the product of its small primes. Two values that
+    both have bit 0 need math.gcd to decide.
     """
     primes, primorial = _sieve_primes()
-    kx = math.gcd(math.prod(xs), primorial)
-    ky = math.gcd(math.prod(ys), primorial)
-    shared = math.gcd(kx, ky)
-    bits = [(1 << i, p) for i, p in enumerate(
-        (p for p in primes if shared % p == 0), 1)]
-    memo: dict[int, int] = {}  # small-prime kernel -> its prime bits
-
-    def masks(values: list[int], kernel: int) -> list[int]:
-        out = []
-        for v in values:
-            g = math.gcd(v, kernel)
-            k = memo.get(g)
-            if k is None:
-                k = memo[g] = sum(bit for bit, p in bits if g % p == 0)
-            out.append(k | (pow(g, v.bit_length(), v) != 0))
-        return out
-
-    return masks(xs, kx), masks(ys, ky)
+    g = rest = math.gcd(v, primorial)
+    mask = int(pow(g, v.bit_length(), v) != 0)
+    for i, p in enumerate(primes, 1):
+        if rest == 1:
+            break
+        if rest % p == 0:
+            mask |= 1 << i
+            rest //= p
+    return mask
 
 
 def check_pair(
@@ -219,25 +213,27 @@ def check_pair(
     family, not to the search target).
 
     Two filters run before any exact work, and both only reject. Each x
-    meets only the ys whose prime-support mask (see _support_masks) shares
-    no small prime with its own, a list built once per distinct x mask;
-    math.gcd decides only pairs where both values keep a cofactor above the
-    mask's primes. Each value |x^r +- y^s| of a coprime pair then meets, per t, a
-    table of t-th power residues modulo a product of small primes
-    q = 1 (mod t); a value that is not a t-th power residue is no t-th power.
-    Every survivor gets the exact integer_nth_root, the gcd checks against
-    z and the record's exact re-verification.
+    meets only the ys whose support mask (see _support_mask: a fixed bit per
+    prime below _SIEVE_PRIME_BOUND, bit 0 for a larger cofactor) shares no
+    small prime with its own, a list built once per distinct x mask; each
+    mask is computed once per value and process. math.gcd decides only pairs
+    where both values keep a cofactor above the mask's primes. Each value
+    |x^r +- y^s| of a coprime pair then meets, per t, a table of t-th power
+    residues modulo a product of small primes q = 1 (mod t), looked up in
+    place; a value that is not a t-th power residue is no t-th power. Every
+    survivor gets the exact integer_nth_root, the gcd checks against z and
+    the record's exact re-verification.
     """
     xs = _candidate_values(x_candidates)
     ys = _candidate_values(y_candidates)
     sieves = _root_sieves(t_set)
-    x_masks, y_masks = _support_masks(xs, ys)
-    y_pows = [(y, y**s, my) for y, my in zip(ys, y_masks)]
+    y_pows = [(y, y**s, _support_mask(y)) for y in ys]
     # The ys each x mask may be coprime to, grouped once per mask, each with
     # a flag for the pairs that only math.gcd can decide (both keep bit 0).
     partners: dict[int, list[tuple[int, int, int]]] = {}
     found: dict[tuple, SolutionRecord] = {}
-    for x, mx in zip(xs, x_masks):
+    for x in xs:
+        mx = _support_mask(x)
         if mx not in partners:
             partners[mx] = [(y, ys_, mx & my) for y, ys_, my in y_pows if mx & my <= 1]
         xr = x**r
@@ -249,8 +245,11 @@ def check_pair(
                                   else (-diff, -1, 1)):
                 if value == 0:
                     continue
-                for z, t in _sieved_roots(value, sieves):
-                    if z == 1 and not allow_unit_root:
+                for t, m, table in sieves:
+                    if not table[value % m]:
+                        continue
+                    z, exact = integer_nth_root(value, t)
+                    if not exact or z == 1 and not allow_unit_root:
                         continue
                     if math.gcd(x, z) != 1 or math.gcd(y, z) != 1:
                         continue
@@ -277,8 +276,10 @@ def check_power_tail(
     are skipped.
 
     Each value |y^s +- 2^m| first meets, per r, the table of r-th power
-    residues that check_pair uses, which only rejects; every survivor gets
-    the exact integer_nth_root and the record's exact re-verification.
+    residues that check_pair uses, looked up in place, which only rejects;
+    every survivor gets the exact integer_nth_root. The splits t | m are
+    listed only for an odd root x > 1, and each record is re-verified
+    exactly.
     """
     lo, hi = m_bounds
     ys = _candidate_values(y_candidates)
@@ -289,18 +290,21 @@ def check_power_tail(
         if not lo <= m <= hi:
             raise ValueError(f"2-power exponent {m} outside window [{lo},{hi}]")
         pw = 2**m
-        splits = [t for t in range(lo, m + 1) if m % t == 0]
         for y, ys_ in odd:
             for value in (ys_ + pw, abs(ys_ - pw)):
                 if value == 0:
                     continue
-                for x, r in _sieved_roots(value, sieves):
-                    if x % 2 == 0 or x == 1:
+                for r, mod, table in sieves:
+                    if not table[value % mod]:
                         continue
-                    for t in splits:
-                        rec = _tail_record(x, r, y, s, ys_, pw, 2 ** (m // t), t)
-                        if rec is not None:
-                            out[rec.sort_key()] = rec
+                    x, exact = integer_nth_root(value, r)
+                    if not exact or x % 2 == 0 or x == 1:
+                        continue
+                    for t in range(lo, m + 1):
+                        if m % t == 0:
+                            rec = _tail_record(x, r, y, s, ys_, pw, 2 ** (m // t), t)
+                            if rec is not None:
+                                out[rec.sort_key()] = rec
     return [out[k] for k in sorted(out)]
 
 

@@ -18,6 +18,7 @@ from gfekit.campaign import (
     explicit_box_task,
     run_campaign,
 )
+from gfekit import search, structure
 from gfekit.linlog import LinLog, log_bounds, log_of_int
 from gfekit.structure import structure_profile
 
@@ -116,6 +117,51 @@ def test_plan_hash_pins(build, exponents, tasks, digest):
     plan = build(*exponents, box_limit=20)
     assert len(plan.tasks) == tasks
     assert plan.plan_hash() == digest
+
+
+@pytest.mark.parametrize("build, exponents, cap", [
+    (build_p2_plan, (4, 5, 8), "71.00"),
+    (build_p3_plan, (5, 6, 7), "23.67"),
+])
+def test_unbounded_smooth_list_is_refused(build, exponents, cap):
+    # e^cap is far above _SMOOTH_PART_MAX: without a box_limit the plan
+    # would list every smooth part below it.
+    message = re.escape(f"{exponents} at l=11: ") + f".* cap {cap} admits smooth"
+    with pytest.raises(ValueError, match=message):
+        build(*exponents)
+    assert build(*exponents, box_limit=20).tasks
+
+
+def test_p1_plan_without_box_limit_builds():
+    # cap 3145/441 ~ 7.13 lists the ~1,250 integers up to e^cap.
+    plan = build_p1_plan(7, 11)
+    assert plan.meta["smooth_cap"] == "3145/441"
+    assert len(plan.tasks) == 1154
+
+
+# report_hash of P3(4,5,5) then P1(7,11), box_limit=20, taken before the box
+# checks cached spec expansions and support masks.
+P3_P1_REPORT = "f88577139c25c1f7f33339f1caabac0219bf1b4b977a1ecdd17d0922b9970b0f"
+
+
+def test_campaign_expands_each_spec_and_masks_each_value_once():
+    for module in (search, structure):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    p3 = build_p3_plan(4, 5, 5, box_limit=20)
+    p1 = build_p1_plan(7, 11, box_limit=20)
+    plan = CampaignPlan("p3-p1", p3.tasks + p1.tasks, {"box_limit": 20})
+    specs = [t.params["a"] for t in p3.tasks] + [t.params["b"] for t in p3.tasks] \
+        + [t.params["spec"] for t in p1.tasks]
+    distinct = {json.dumps(spec, sort_keys=True) for spec in specs}
+    pair_values = {v for t in p3.tasks for key in "ab"
+                   for v in search.enumerate_candidates(t.params[key])}
+    assert (len(specs), len(distinct), len(pair_values)) == (504, 36, 1323)
+    report = run_campaign(plan, shards=1)
+    assert report.report_hash() == P3_P1_REPORT
+    assert search._expand_spec.cache_info().misses == len(distinct)
+    assert search._support_mask.cache_info().misses == len(pair_values)
 
 
 def test_p1_plan_shape():

@@ -13,8 +13,9 @@ from gfekit.campaign import build_p3_plan
 from gfekit.search import (
     SolutionRecord,
     _power_residues,
+    _expand_spec,
     _square_residue_ys,
-    _support_masks,
+    _support_mask,
     check_pair,
     check_power_tail,
     enumerate_candidates,
@@ -44,6 +45,62 @@ def test_enumerate_every_slot_with_missing_caps_at_zero():
 
 def test_enumerate_values_spec_is_sorted_and_duplicate_free():
     assert enumerate_candidates({"values": [9, 2, "5", 9, 1]}) == [1, 2, 5, 9]
+
+
+def nested_loop_expansion(spec):
+    """The generator-spec expansion as one nested loop, without a cache."""
+    l = spec["l"]
+    out = set()
+    for lp in spec.get("lparts", [1]):
+        for el in range(spec.get("el_cap", 0) + 1):
+            for e3 in range(spec.get("e3_cap", 0) + 1):
+                for e2 in range(spec.get("e2_cap", 0) + 1):
+                    out.add(spec["smooth"] * 2**e2 * 3**e3 * l**el * lp**l)
+    return sorted(out)
+
+
+@st.composite
+def generator_specs(draw):
+    l = draw(st.sampled_from((5, 7, 11, 13)))
+    spec = {"smooth": draw(st.integers(min_value=1, max_value=60)), "l": l}
+    for key in ("e2_cap", "e3_cap", "el_cap"):
+        if draw(st.booleans()):
+            spec[key] = draw(st.integers(min_value=0, max_value=l + 2))
+    if draw(st.booleans()):
+        # lp = 2, 3, 4, 9 or l puts lp^l among the 2-, 3- and l-powers above.
+        spec["lparts"] = draw(st.lists(st.sampled_from((1, 2, 3, 4, 5, 9, l)),
+                                       min_size=1, max_size=4))
+    return spec
+
+
+@given(generator_specs())
+def test_enumerate_equals_the_nested_loop(spec):
+    expected = nested_loop_expansion(spec)
+    assert enumerate_candidates(spec) == expected
+    assert enumerate_candidates(dict(spec)) == expected  # a cache hit
+
+
+def test_enumerate_returns_a_fresh_list():
+    spec = {"smooth": 5, "l": 11, "e2_cap": 3, "e3_cap": 2, "lparts": [1, 3]}
+    first = enumerate_candidates(spec)
+    expected = list(first)
+    first.reverse()
+    first.append(0)
+    assert enumerate_candidates(spec) == expected
+    assert enumerate_candidates(spec) is not enumerate_candidates(spec)
+    # The spec, not the list it was first read from, is the cache key.
+    spec["lparts"].append(5)
+    assert enumerate_candidates(spec) == nested_loop_expansion(spec)
+
+
+def test_enumerate_values_spec_is_not_cached():
+    _expand_spec.cache_clear()
+    spec = {"values": [4, 3, 4]}
+    assert enumerate_candidates(spec) == [3, 4]
+    spec["values"].append(1)
+    assert enumerate_candidates(spec) == [1, 3, 4]
+    info = _expand_spec.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
 @pytest.mark.parametrize("module", ["gfekit.catalog", "gfekit.search"])
@@ -191,18 +248,27 @@ def test_check_pair_equals_naive_with_large_primes(r, s, t_set):
     ([1], [1]),
 ])
 def test_support_masks_decide_coprimality(xs, ys):
-    # Disjoint masks mean coprime; a shared bit other than bit 0 means a
-    # shared prime; only a shared bit 0 alone is left to math.gcd.
-    x_masks, y_masks = _support_masks(xs, ys)
-    for x, mx in zip(xs, x_masks):
-        for y, my in zip(ys, y_masks):
+    # Each value's mask comes from its own call, so masking the lists in
+    # either order, from a cold cache, gives the same masks. Bit 0 marks a
+    # prime factor >= 1000, bit i >= 1 the i-th prime below 1000: disjoint
+    # masks mean coprime, and the shared bits >= 1 are the shared small primes.
+    primes = [p for p in range(2, 1000) if all(p % d for d in range(2, p))]
+    masks = []
+    for order in (xs + ys, ys[::-1] + xs[::-1]):
+        _support_mask.cache_clear()
+        masks.append({v: _support_mask(v) for v in order})
+    assert masks[0] == masks[1]
+    mask = masks[0]
+    for v, mv in mask.items():
+        assert mv & 1 == any(p >= 1000 for p in factor(v).primes()), v
+    for x in xs:
+        for y in ys:
             g = math.gcd(x, y)
-            if mx & my == 0:
+            shared = mask[x] & mask[y]
+            if shared == 0:
                 assert g == 1, (x, y)
-            elif mx & my > 1:
-                assert g > 1, (x, y)
-            else:
-                assert all(p >= 1000 for p, _ in factor(g).items()), (x, y)
+            assert {p for i, p in enumerate(primes, 1) if shared >> i & 1} \
+                == {p for p in primes if g % p == 0}, (x, y)
 
 
 def test_check_pair_equals_naive_when_t_has_no_residue_prime():
