@@ -53,6 +53,9 @@ def small_primes(limit: int = _TRIAL_BOUND) -> tuple[int, ...]:
 # Deterministic Miller-Rabin witness set, valid for all n < 3.317e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_LIMIT = 3317044064679887385961981
+# Random Miller-Rabin witnesses tried above the limit, drawn from
+# random.Random(n) so each n always gets the same answer.
+_MR_ROUNDS = 64
 
 
 def _miller_rabin(n: int, a: int) -> bool:
@@ -70,8 +73,9 @@ def _miller_rabin(n: int, a: int) -> bool:
     return False
 
 
-def is_prime(n: int, *, rounds: int = 64, seed: int = 0) -> bool:
-    """Primality test; deterministic below 3.3e24, else Miller-Rabin rounds."""
+def is_prime(n: int) -> bool:
+    """Primality test; deterministic below 3.3e24, else _MR_ROUNDS random
+    Miller-Rabin witnesses."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -79,8 +83,8 @@ def is_prime(n: int, *, rounds: int = 64, seed: int = 0) -> bool:
             return n == p
     if n < _MR_DETERMINISTIC_LIMIT:
         return all(_miller_rabin(n, a) for a in _MR_WITNESSES if a < n - 1)
-    rng = random.Random(seed ^ n)
-    return all(_miller_rabin(n, rng.randrange(2, n - 1)) for _ in range(rounds))
+    rng = random.Random(n)
+    return all(_miller_rabin(n, rng.randrange(2, n - 1)) for _ in range(_MR_ROUNDS))
 
 
 def _pollard_rho(n: int, rng: random.Random, budget: list[int]) -> int:
@@ -184,10 +188,6 @@ class FactoredInteger:
     @classmethod
     def one(cls) -> "FactoredInteger":
         return cls(())
-
-    @classmethod
-    def from_int(cls, n: int, **kw) -> "FactoredInteger":
-        return factor(n, **kw)
 
     @classmethod
     def _raw(cls, items: tuple[tuple[int, int], ...]) -> "FactoredInteger":

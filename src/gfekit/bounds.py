@@ -302,10 +302,7 @@ def _log_fact(n: FactoredInteger) -> LinLog:
     return out
 
 
-def lemma13_chain(
-    cfg: BoundConfig,
-    parts: dict[str, tuple[int, ...]] | None = None,
-) -> ChainReplay:
+def lemma13_chain(cfg: BoundConfig) -> ChainReplay:
     """Replay the inequality chain against a concrete N.
 
     Evaluates each chain inequality as a certified comparison and re-derives
@@ -317,13 +314,6 @@ def lemma13_chain(
         raise ConfigError("chain replay needs a concrete N")
     n = cfg.n_value
     a_set, b_set, c_set = _partition(cfg)
-    if parts is not None:
-        given = {key: set(parts.get(key, ())) for key in ("A", "B", "C")}
-        if given != {"A": a_set, "B": b_set, "C": c_set}:
-            raise ConfigError(
-                f"inconsistent partition: expected A={sorted(a_set)}, "
-                f"B={sorted(b_set)}, C={sorted(c_set)}"
-            )
     dc = derived_constants(cfg)
 
     def restrict(primes: set[int]) -> FactoredInteger:

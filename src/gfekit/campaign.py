@@ -43,6 +43,9 @@ _SMOOTH_PART_MAX = 10**6
 # measurable per-task cost on plans of small boxes; a larger chunk delays the
 # checkpoint record of every task in it.
 _CHUNK = 4
+# The params each task kind reads in run_task; from_dict checks them.
+_TASK_PARAMS = {"pair": ("a", "b", "r", "s", "t_set"),
+                "tail": ("spec", "s", "r_set", "m_lo", "m_hi")}
 
 
 def _canonical(obj) -> str:
@@ -78,11 +81,32 @@ class CampaignPlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CampaignPlan":
-        return cls(
-            name=d["name"],
-            tasks=[Task(t["task_id"], t["kind"], t["params"]) for t in d["tasks"]],
-            meta=d.get("meta", {}),
-        )
+        """A plan from its JSON form. A ValueError names the first missing
+        piece, so every loaded task carries the params its kind reads."""
+        if not isinstance(d, dict):
+            raise ValueError(f"plan must be a JSON object, got {type(d).__name__}")
+        for key in ("name", "tasks"):
+            if key not in d:
+                raise ValueError(f"plan has no {key!r}")
+        if not isinstance(d["tasks"], list):
+            raise ValueError("plan 'tasks' must be a list")
+        tasks = []
+        for i, t in enumerate(d["tasks"]):
+            if not isinstance(t, dict):
+                raise ValueError(f"plan task {i} must be a JSON object")
+            for key in ("task_id", "kind", "params"):
+                if key not in t:
+                    raise ValueError(f"plan task {i} has no {key!r}")
+            kind, params = t["kind"], t["params"]
+            if not isinstance(kind, str) or kind not in _TASK_PARAMS:
+                raise ValueError(f"unknown task kind {kind!r}")
+            if not isinstance(params, dict):
+                raise ValueError(f"plan task {i} params must be a JSON object")
+            for key in _TASK_PARAMS[kind]:
+                if key not in params:
+                    raise ValueError(f"plan task {i} ({kind}) has no param {key!r}")
+            tasks.append(Task(t["task_id"], kind, params))
+        return cls(name=d["name"], tasks=tasks, meta=d.get("meta", {}))
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:

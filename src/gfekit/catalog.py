@@ -449,39 +449,36 @@ def _published_exclusion(canon: tuple[int, int, int], registry_path: str | None
     return None
 
 
-def count_remaining(mode: str, *, use_exclusions: bool = True,
-                    closure: str = "full", registry_path: str | None = None
-                    ) -> CountResult:
+def count_remaining(mode: str, *, closure: str = "full",
+                    registry_path: str | None = None) -> CountResult:
     """Count canonical remaining signatures at the mode's exponent floor.
 
     mode "ge4" floors at 4; "beal" floors at 3. closure="full" applies the
     recursive multi-exponent reduction closure (strictest, the default);
     closure="published" applies only the shipped modulus lists plus
-    one-step reductions of the family parameter. use_exclusions=False skips
-    exclusions entirely, which strictly enlarges the ledger; the result's
-    closure then reads "none". registry_path names the registry to count
-    (None: the shipped one).
+    one-step reductions of the family parameter; closure="none" skips
+    exclusions entirely, which strictly enlarges the ledger. registry_path
+    names the registry to count (None: the shipped one).
     """
     floors = {"ge4": 4, "beal": 3}
     if mode not in floors:
         raise ValueError(f"mode must be ge4|beal, got {mode!r}")
-    if closure not in ("full", "published"):
-        raise ValueError(f"closure must be full|published, got {closure!r}")
-    ledger, excluded, digest = _closure(floors[mode], closure, use_exclusions,
-                                        registry_path)
+    if closure not in ("full", "published", "none"):
+        raise ValueError(f"closure must be full|published|none, got {closure!r}")
+    ledger, excluded, digest = _closure(floors[mode], closure, registry_path)
     expected = load_registry(registry_path)["expected_counts"][mode]
     return CountResult(
         mode=mode, count=len(ledger), expected=expected, ledger=list(ledger),
         excluded=[{"signature": list(canon), "citation": cite}
                   for canon, cite in excluded],
-        ledger_hash=digest, closure=closure if use_exclusions else "none",
+        ledger_hash=digest, closure=closure,
         registry_path=registry_path,
     )
 
 
 @lru_cache(maxsize=None)
-def _closure(floor: int, closure: str, use_exclusions: bool,
-             registry_path: str | None) -> tuple[tuple, tuple, str]:
+def _closure(floor: int, closure: str, registry_path: str | None
+             ) -> tuple[tuple, tuple, str]:
     """(ledger, (canon, citation) exclusions, ledger hash) of one closure at
     one floor of one registry; immutable, since every count_remaining call
     shares it."""
@@ -489,7 +486,7 @@ def _closure(floor: int, closure: str, use_exclusions: bool,
     excluded: list[tuple[tuple[int, int, int], str]] = []
     exclusion = _full_exclusion if closure == "full" else _published_exclusion
     for canon in _in_range_candidates(floor, registry_path):
-        cite = exclusion(canon, registry_path) if use_exclusions else None
+        cite = None if closure == "none" else exclusion(canon, registry_path)
         if cite is None:
             ledger.append(canon)
         else:

@@ -38,6 +38,15 @@ class ConfigFileError(Exception):
     typed value, or a vol_tables entry without a required key. Exits 2."""
 
 
+class _AtMostThree(argparse.Action):
+    """A nargs="+" list of at most three values; more is a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if len(values) > 3:
+            parser.error(f"at most 3 {self.dest}, got {len(values)}")
+        setattr(namespace, self.dest, values)
+
+
 # Optional top-level config keys and their JSON types; null means absent.
 _CONFIG_TYPES = {"vol_tables": (list, "an array"), "search_budget": (dict, "an object"),
                  "registry_path": (str, "a string"), "output_path": (str, "a string")}
@@ -364,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=_cmd_bounds)
 
     c = sub.add_parser("profile", help="structure profile of a signature family")
-    c.add_argument("exponents", type=int, nargs="+",
+    c.add_argument("exponents", type=int, nargs="+", action=_AtMostThree,
                    help="r s t (general), r s (cube family) or t")
     c.add_argument("l", type=int)
     c.add_argument("--family", choices=["general", "threers", "twothree"])

@@ -99,13 +99,15 @@ def _check_triple(family: FreyFamily, a: int, b: int, c: int) -> None:
         raise InvalidTriple(f"invalid triple for {family.name}: zero entry")
     if math.gcd(math.gcd(a, b), c) != 1:
         raise InvalidTriple(f"invalid triple for {family.name}: not coprime")
-    ok = {
-        FreyFamily.GENERAL_ABC: lambda: a + b + c == 0 and (a + 1) % 4 == 0 and b % 16 == 0,
-        FreyFamily.TWO_THREE: lambda: a * a + b**3 == c,
-        FreyFamily.THREE_RS: lambda: a + b == c**3,
-        FreyFamily.TWO_RS: lambda: a + b == c * c,
-    }[family]
-    if not ok():
+    if family is FreyFamily.GENERAL_ABC:
+        ok = a + b + c == 0 and (a + 1) % 4 == 0 and b % 16 == 0
+    elif family is FreyFamily.TWO_THREE:
+        ok = a * a + b**3 == c
+    elif family is FreyFamily.THREE_RS:
+        ok = a + b == c**3
+    else:
+        ok = a + b == c * c
+    if not ok:
         raise InvalidTriple(f"invalid triple for {family.name}: {(a, b, c)}")
 
 
@@ -129,13 +131,14 @@ _N_64 = FactoredInteger({2: 6})
 
 
 def _denom_factored(family: FreyFamily, a: int, b: int, c: int) -> FactoredInteger:
-    # Assemble N from the factorizations of |a|, |b|, |c|; the closed forms
-    # are monomials in the triple divided by a small power of 2 or 3.
-    fa, fb, fc = factor(abs(a)), factor(abs(b)), factor(abs(c))
-    if family is FreyFamily.GENERAL_ABC:
-        return ((fa * fb * fc) ** 2).exact_div(_N_256)
+    # Assemble N from the factorizations of the entries it uses; the closed
+    # forms are monomials in the triple divided by a small power of 2 or 3.
     if family is FreyFamily.TWO_THREE:
+        fc = factor(abs(c))
         return fc.exact_div(fc.gcd(_N_1728))
+    fa, fb = factor(abs(a)), factor(abs(b))
+    if family is FreyFamily.GENERAL_ABC:
+        return ((fa * fb * factor(abs(c))) ** 2).exact_div(_N_256)
     if family is FreyFamily.THREE_RS:
         n = fa**3 * fb
         return n.exact_div(n.gcd(_N_27))

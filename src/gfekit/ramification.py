@@ -24,7 +24,6 @@ __all__ = [
     "VolTable",
     "VolNotConfigured",
     "dataset",
-    "vol_lookup",
     "A2_TABLES",
     "default_profile",
     "a1_coefficient",
@@ -41,9 +40,6 @@ class RamificationDataset:
     gen_mult: frozenset[int]
     per_prime: dict[int, tuple[frozenset[int], frozenset[int]]]  # p -> (good, mult)
     q: int | None = None
-
-    def key(self) -> tuple:
-        return (self.family.name, self.kind, self.l0, self.q)
 
 
 def _even_divisors(n: int) -> frozenset[int]:
@@ -140,13 +136,6 @@ class VolTable:
     def set_raw(self, key: tuple, value: Fraction, provenance: str = "user-supplied") -> None:
         self.raw[key] = Fraction(value)
         self.provenance[str(key)] = provenance
-
-
-def vol_lookup(table: VolTable, key: tuple) -> Fraction:
-    """Raw Vol enclosure for a dataset key; loud if unconfigured."""
-    if key not in table.raw:
-        raise VolNotConfigured(f"Vol constant not configured for dataset {key}")
-    return table.raw[key]
 
 
 # Published aggregate bounds a2(p), keyed by the deriving lemma. The two

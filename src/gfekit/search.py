@@ -300,24 +300,17 @@ def check_power_tail(
                     x, exact = integer_nth_root(value, r)
                     if not exact or x % 2 == 0 or x == 1:
                         continue
+                    if value == ys_ + pw:   # x^r - y^s = 2^m
+                        sx, sy = 1, -1
+                    elif ys_ > pw:          # y^s - x^r = 2^m
+                        sx, sy = -1, 1
+                    else:                   # x^r + y^s = 2^m
+                        sx, sy = 1, 1
                     for t in range(lo, m + 1):
                         if m % t == 0:
-                            rec = _tail_record(x, r, y, s, ys_, pw, 2 ** (m // t), t)
-                            if rec is not None:
-                                out[rec.sort_key()] = rec
+                            rec = _mk_record(x, r, sx, y, s, sy, 2 ** (m // t), t)
+                            out[rec.sort_key()] = rec
     return [out[k] for k in sorted(out)]
-
-
-def _tail_record(x, r, y, s, ys_, pw, z, t) -> SolutionRecord | None:
-    """Normalize x^r = |y^s +- 2^m| into sign_r x^r + sign_s y^s = z^t."""
-    xr = x**r
-    if xr == ys_ + pw:      # x^r - y^s = 2^m
-        return _mk_record(x, r, 1, y, s, -1, z, t)
-    if xr == ys_ - pw:      # y^s - x^r = 2^m
-        return _mk_record(x, r, -1, y, s, 1, z, t)
-    if xr == pw - ys_:      # x^r + y^s = 2^m
-        return _mk_record(x, r, 1, y, s, 1, z, t)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +381,7 @@ def small_z1_scan(
     coprime to z then gets the exact square test, and every record is
     re-verified by exact integer arithmetic, so the mask drops no solution.
     """
-    if z1_bound < 1 or t_max < t_min:
+    if z1_bound < 1 or t_max < t_min or height_bound < 1:
         raise ValueError("empty scan box")
     out: dict[tuple, SolutionRecord] = {}
 

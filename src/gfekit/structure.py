@@ -10,6 +10,7 @@ certified (exact rationals against rational multiples of prime logs).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -182,14 +183,9 @@ def general_rl_product_cap() -> int:
 
 def _adversary_sets(table: tuple[int, ...], slots: int):
     """All exclusion sets of at most `slots` table primes."""
-    sets = [frozenset()]
-    for _ in range(slots):
-        sets = sets + [s | {p} for s in sets for p in table if p not in s]
-    seen = set()
-    for s in sets:
-        if s not in seen:
-            seen.add(s)
-            yield s
+    for size in range(slots + 1):
+        for combo in itertools.combinations(table, size):
+            yield frozenset(combo)
 
 
 def _floor_over_log(p: int, x: LinLog) -> int:

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from gfekit.arith import FactoredInteger, radical, k_full_part
+from gfekit.arith import FactoredInteger, factor, radical, k_full_part
 from gfekit.bounds import BoundConfig, make_config
 from gfekit.linlog import LinLog, log_atom, log_of_int
 
@@ -50,7 +50,7 @@ def synthetic_config(rng: random.Random) -> BoundConfig:
     n_val = FactoredInteger(factors)
     favorable = rng.random() < 0.5  # half the configs should yield live exclusions
     n0 = rng.choice([1, 2**8, 27, 1728])
-    n0_f = FactoredInteger.from_int(n0)
+    n0_f = factor(n0)
     u0 = min(e + n0_f.valuation(p) for p, e in n_val.items())
     if not favorable:
         u0 = max(1, rng.randint(1, u0))

@@ -88,8 +88,6 @@ def test_partition_example():
     )
     replay = lemma13_chain(cfg)
     assert replay.partition == {"A": (), "B": (3,), "C": (2, 7)}
-    with pytest.raises(ConfigError):
-        lemma13_chain(cfg, parts={"A": (3,), "B": (), "C": (2, 7)})
 
 
 def test_chain_replay_equivalence_randomized(rng):

@@ -146,7 +146,7 @@ def test_count_beal_reports_structured_discrepancy():
 def test_counters_mode_validation_and_exclusion_toggle():
     with pytest.raises(ValueError):
         count_remaining("all")
-    raw = count_remaining("ge4", use_exclusions=False)
+    raw = count_remaining("ge4", closure="none")
     assert raw.count > 244
     assert set(map(tuple, count_remaining("ge4").ledger)) <= set(map(tuple, raw.ledger))
 
@@ -167,13 +167,13 @@ def test_count_pins(mode, closure):
 
 
 def test_count_without_exclusions_pin():
-    raw = count_remaining("beal", use_exclusions=False)
+    raw = count_remaining("beal", closure="none")
     assert (raw.count, raw.ledger_hash) == (
         6249, "18cc5c80de9086ed6053464bf5cf70993147dea7079c32f2543016da67c0f3ff")
 
 
 def test_no_exclusion_result_reports_the_real_closures():
-    raw = count_remaining("beal", use_exclusions=False)
+    raw = count_remaining("beal", closure="none")
     assert raw.closure == "none"
     report = raw.discrepancy_report()
     assert (report["closure"], report["computed"]) == ("none", 6249)

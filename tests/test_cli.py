@@ -197,6 +197,48 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
+def test_profile_with_more_than_three_exponents_is_usage_error(capsys):
+    code, out, err = run(capsys, "profile", "4", "5", "7", "11", "13")
+    assert (code, out) == (2, "")
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert err.endswith("gfekit profile: error: at most 3 exponents, got 4\n")
+
+
+@pytest.mark.parametrize("height", ["-5", "0"])
+def test_scan_height_below_one_is_empty_box(capsys, height):
+    assert run(capsys, "scan-small-z1", "--height", height) == (
+        1, "", "error: empty scan box\n")
+
+
+PAIR_PARAMS = {"a": {"values": [1]}, "b": {"values": [2]}, "r": 2, "s": 3, "t_set": [2]}
+
+
+@pytest.mark.parametrize("plan, message", [
+    ([1], "plan must be a JSON object, got list"),
+    ({"name": "x"}, "plan has no 'tasks'"),
+    ({"tasks": []}, "plan has no 'name'"),
+    ({"name": "x", "tasks": {}}, "plan 'tasks' must be a list"),
+    ({"name": "x", "tasks": [1]}, "plan task 0 must be a JSON object"),
+    ({"name": "x", "tasks": [{"kind": "pair", "params": PAIR_PARAMS}]},
+     "plan task 0 has no 'task_id'"),
+    ({"name": "x", "tasks": [{"task_id": "t", "kind": "box", "params": {}}]},
+     "unknown task kind 'box'"),
+    ({"name": "x", "tasks": [{"task_id": "t", "kind": "pair", "params": [1]}]},
+     "plan task 0 params must be a JSON object"),
+    ({"name": "x", "tasks": [{"task_id": "t", "kind": "pair", "params": {
+        k: v for k, v in PAIR_PARAMS.items() if k != "b"}}]},
+     "plan task 0 (pair) has no param 'b'"),
+    ({"name": "x", "tasks": [{"task_id": "t", "kind": "pair", "params": PAIR_PARAMS},
+                             {"task_id": "u", "kind": "tail", "params": {
+                                 "spec": [3], "s": 3, "r_set": [2], "m_lo": 70}}]},
+     "plan task 1 (tail) has no param 'm_hi'"),
+])
+def test_malformed_plan_is_domain_error(capsys, tmp_path, plan, message):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    assert run(capsys, "search", str(path)) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [("count", "ge4", "--ledger"), ("search",)])
 def test_directory_as_path_is_config_error(capsys, tmp_path, argv):
     code, _, err = run(capsys, *argv, str(tmp_path))

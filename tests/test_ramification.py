@@ -5,11 +5,9 @@ import pytest
 from gfekit.freycurves import FreyFamily
 from gfekit.ramification import (
     A2_TABLES,
-    VolNotConfigured,
     VolTable,
     a1_coefficient,
     dataset,
-    vol_lookup,
 )
 
 G = FreyFamily.GENERAL_ABC
@@ -141,13 +139,13 @@ def test_dataset_index_sets_divide_gl2():
                 assert gl2 % e == 0 and e % (l - 1) == 0, (fam, kind, l, e)
 
 
-def test_vol_lookup_contract():
+def test_set_raw_stores_value_and_provenance():
     table = VolTable()
-    with pytest.raises(VolNotConfigured):
-        vol_lookup(table, (G.name, 1, 11, None))
-    table.set_raw((G.name, 1, 11, None), Fraction(5), "test")
-    assert vol_lookup(table, (G.name, 1, 11, None)) == 5
-    assert table.provenance[str((G.name, 1, 11, None))] == "test"
+    key = (G.name, 1, 11, None)
+    table.set_raw(key, 5, "test")
+    assert table.raw == {key: Fraction(5)}
+    assert isinstance(table.raw[key], Fraction)
+    assert table.provenance == {str(key): "test"}
 
 
 def test_a2_tables_match_transcription():

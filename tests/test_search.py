@@ -193,6 +193,20 @@ def test_check_power_tail_finds_planted_power():
         assert rec.z == 2 ** (rec.z.bit_length() - 1)  # z is a 2-power
 
 
+# One planted identity per sign pattern, in a lowered 2-power window.
+@pytest.mark.parametrize("y, s, x, r, m, signs", [
+    (1, 3, 3, 2, 3, (1, -1)),    # 3^2 - 1^3 = 2^3
+    (5, 2, 3, 2, 4, (-1, 1)),    # 5^2 - 3^2 = 2^4
+    (7, 3, 13, 2, 9, (1, 1)),    # 13^2 + 7^3 = 2^9
+])
+def test_check_power_tail_signs(y, s, x, r, m, signs):
+    recs = check_power_tail([y], s, {r}, [m], m_bounds=(1, 20))
+    assert [(rec.x, rec.y, (rec.sign_r, rec.sign_s)) for rec in recs] \
+        == [(x, y, signs)] * len(recs)
+    assert sorted(rec.t for rec in recs) == [t for t in range(1, m + 1) if m % t == 0]
+    assert all(rec.verify() for rec in recs)
+
+
 def _records(recs):
     return {(rec.x, rec.r, rec.sign_r, rec.y, rec.s, rec.sign_s, rec.z, rec.t)
             for rec in recs}
