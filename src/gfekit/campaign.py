@@ -43,9 +43,32 @@ _SMOOTH_PART_MAX = 10**6
 # measurable per-task cost on plans of small boxes; a larger chunk delays the
 # checkpoint record of every task in it.
 _CHUNK = 4
-# The params each task kind reads in run_task; from_dict checks them.
-_TASK_PARAMS = {"pair": ("a", "b", "r", "s", "t_set"),
-                "tail": ("spec", "s", "r_set", "m_lo", "m_hi")}
+# The params each task kind reads in run_task, with their types; from_dict
+# checks both.
+_TASK_PARAMS = {"pair": {"a": "spec", "b": "spec", "r": "int", "s": "int",
+                         "t_set": "int list"},
+                "tail": {"spec": "spec", "s": "int", "r_set": "int list",
+                         "m_lo": "int", "m_hi": "int"}}
+# The fields of a generator spec (see search.enumerate_candidates).
+_SPEC_FIELDS = {"smooth": "int", "l": "int", "e2_cap": "int", "e3_cap": "int",
+                "el_cap": "int", "lparts": "int list"}
+_TYPE_NAMES = {"int": "an int", "int list": "a list of ints",
+               "spec": '{"values": [int, ...]} or a generator spec of int '
+                       "smooth, l, e2_cap, e3_cap, el_cap and int list lparts"}
+
+
+def _fits(value, kind: str) -> bool:
+    """Whether a JSON value has the param type kind (a key of _TYPE_NAMES)."""
+    if kind == "int":
+        return type(value) is int
+    if kind == "int list":
+        return isinstance(value, list) and all(type(v) is int for v in value)
+    if not isinstance(value, dict):
+        return False
+    if "values" in value:
+        return _fits(value["values"], "int list")
+    return "smooth" in value and "l" in value and all(
+        k in _SPEC_FIELDS and _fits(v, _SPEC_FIELDS[k]) for k, v in value.items())
 
 
 def _canonical(obj) -> str:
@@ -82,7 +105,8 @@ class CampaignPlan:
     @classmethod
     def from_dict(cls, d: dict) -> "CampaignPlan":
         """A plan from its JSON form. A ValueError names the first missing
-        piece, so every loaded task carries the params its kind reads."""
+        or mistyped piece, so every loaded task carries the params its kind
+        reads, each of the type run_task passes on."""
         if not isinstance(d, dict):
             raise ValueError(f"plan must be a JSON object, got {type(d).__name__}")
         for key in ("name", "tasks"):
@@ -105,6 +129,10 @@ class CampaignPlan:
             for key in _TASK_PARAMS[kind]:
                 if key not in params:
                     raise ValueError(f"plan task {i} ({kind}) has no param {key!r}")
+            for key, typ in _TASK_PARAMS[kind].items():
+                if not _fits(params[key], typ):
+                    raise ValueError(f"plan task {i} ({kind}) param {key!r} must be "
+                                     f"{_TYPE_NAMES[typ]}, got {params[key]!r:.40}")
             tasks.append(Task(t["task_id"], kind, params))
         return cls(name=d["name"], tasks=tasks, meta=d.get("meta", {}))
 
@@ -137,7 +165,7 @@ def run_task(task: Task) -> dict:
     return {
         "task_id": task.task_id,
         "box_size": box,
-        "records": [r.as_dict() for r in sorted(records, key=lambda r: r.sort_key())],
+        "records": [r.as_dict() for r in records],
     }
 
 

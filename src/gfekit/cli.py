@@ -47,6 +47,22 @@ class _AtMostThree(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
+class _UsageError(Exception):
+    """Arguments that parse but do not fit together. Exits 2."""
+
+
+# Exponents each family takes, keyed by the `profile --family` names, which
+# also begin the `bounds` scenario names.
+_EXPONENT_COUNT = {"general": 3, "threers": 2, "twothree": 1}
+
+
+def _check_exponent_count(family: str, exps: tuple[int, ...]) -> None:
+    want = _EXPONENT_COUNT[family]
+    if len(exps) != want:
+        raise _UsageError(f"the {family} family takes {want} "
+                          f"exponent{'s' if want > 1 else ''}, got {len(exps)}")
+
+
 # Optional top-level config keys and their JSON types; null means absent.
 _CONFIG_TYPES = {"vol_tables": (list, "an array"), "search_budget": (dict, "an object"),
                  "registry_path": (str, "a string"), "output_path": (str, "a string")}
@@ -166,6 +182,7 @@ def _cmd_bounds(args, cfg: dict) -> int:
 
     tables = vol_table_from_config(cfg)
     exps = tuple(args.exponents)
+    _check_exponent_count(args.scenario.split("-")[0], exps)
     built = scenario(
         args.scenario, exps, args.situation,
         s_primes=args.set, k=args.k, tables=tables,
@@ -188,9 +205,8 @@ def _cmd_profile(args, cfg: dict) -> int:
     from .structure import structure_profile
 
     exps = tuple(args.exponents)
-    case = {2: "threers", 3: "general", 1: "twothree"}[len(exps)]
-    if args.family:
-        case = args.family
+    case = args.family or {n: f for f, n in _EXPONENT_COUNT.items()}[len(exps)]
+    _check_exponent_count(case, exps)
     prof = structure_profile(case, exps, args.l)
     payload = {
         "family": prof.family, "exponents": list(prof.exponents),
@@ -430,6 +446,9 @@ def command_dispatch(argv=None) -> int:
         return 1
     except (OSError, ConfigFileError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except _UsageError as exc:
+        print(f"gfekit {args.command}: error: {exc}", file=sys.stderr)
         return 2
 
 

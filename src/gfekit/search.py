@@ -98,8 +98,8 @@ def enumerate_candidates(spec: dict) -> list[int]:
 
 # Entries kept by the per-process caches of spec expansions and of support
 # masks. P3(4,5,5) and P1(7,11) at box_limit=20 hold 36 distinct specs and
-# 1,323 distinct pair values; the bounds only keep a long run from growing
-# without end.
+# mask 1,594 distinct values (pair values, tail candidates and powers 2^m);
+# the bounds only keep a long run from growing without end.
 _SPEC_CACHE_SIZE = 1024
 _MASK_CACHE_SIZE = 1 << 16
 
@@ -240,9 +240,7 @@ def check_pair(
         for y, ys_, undecided in partners[mx]:
             if undecided and math.gcd(x, y) != 1:
                 continue
-            diff = xr - ys_
-            for value, sx, sy in ((xr + ys_, 1, 1), (diff, 1, -1) if diff >= 0
-                                  else (-diff, -1, 1)):
+            for value in (xr + ys_, abs(xr - ys_)):
                 if value == 0:
                     continue
                 for t, m, table in sieves:
@@ -253,6 +251,8 @@ def check_pair(
                         continue
                     if math.gcd(x, z) != 1 or math.gcd(y, z) != 1:
                         continue
+                    sx, sy = (1, 1) if value == xr + ys_ else \
+                        (1, -1) if xr > ys_ else (-1, 1)
                     rec = _mk_record(x, r, sx, y, s, sy, z, t)
                     found[rec.sort_key()] = rec
     return [found[k] for k in sorted(found)]
@@ -269,47 +269,33 @@ def check_power_tail(
     """Check |y^s +- 2^m| = x^r over a candidate list and a 2-power window.
 
     This is the branch where the third coordinate is forced to be a pure
-    power of two: z^t = 2^m with m in the published window. Exponents for
+    power of two: z^t = 2^m with m in the window m_bounds, which must start
+    at m >= 1 (ValueError otherwise, or for an m outside it). Exponents for
     the root side come from r_set; records store z = 2^(m/t) resolved over
-    every admissible split t | m with t >= m_bounds[0]. Candidates are
-    >= 1 (ValueError otherwise); even ones share the factor 2 with z and
-    are skipped.
+    every admissible split t | m with t >= m_bounds[0].
 
-    Each value |y^s +- 2^m| first meets, per r, the table of r-th power
-    residues that check_pair uses, looked up in place, which only rejects;
-    every survivor gets the exact integer_nth_root. The splits t | m are
-    listed only for an odd root x > 1, and each record is re-verified
-    exactly.
+    The box runs through check_pair with the powers 2^m as second list and
+    r_set as root exponents, so it meets the same filters and exact root:
+    even candidates share the factor 2 with 2^m and are masked out, and a
+    root x = 1 is dropped. Each hit y^s +- 2^m = x^r is rewritten with 2^m
+    on the right.
     """
     lo, hi = m_bounds
-    ys = _candidate_values(y_candidates)
-    sieves = _root_sieves(r_set)
-    odd = [(y, y**s) for y in ys if y % 2]
-    out: dict[tuple, SolutionRecord] = {}
-    for m in m_range:
+    if lo < 1:
+        raise ValueError(f"2-power window [{lo},{hi}] must start at m >= 1")
+    ms = list(m_range)
+    for m in ms:
         if not lo <= m <= hi:
             raise ValueError(f"2-power exponent {m} outside window [{lo},{hi}]")
-        pw = 2**m
-        for y, ys_ in odd:
-            for value in (ys_ + pw, abs(ys_ - pw)):
-                if value == 0:
-                    continue
-                for r, mod, table in sieves:
-                    if not table[value % mod]:
-                        continue
-                    x, exact = integer_nth_root(value, r)
-                    if not exact or x % 2 == 0 or x == 1:
-                        continue
-                    if value == ys_ + pw:   # x^r - y^s = 2^m
-                        sx, sy = 1, -1
-                    elif ys_ > pw:          # y^s - x^r = 2^m
-                        sx, sy = -1, 1
-                    else:                   # x^r + y^s = 2^m
-                        sx, sy = 1, 1
-                    for t in range(lo, m + 1):
-                        if m % t == 0:
-                            rec = _mk_record(x, r, sx, y, s, sy, 2 ** (m // t), t)
-                            out[rec.sort_key()] = rec
+    out: dict[tuple, SolutionRecord] = {}
+    for hit in check_pair(y_candidates, s, [1 << m for m in ms], 1, r_set):
+        # hit: sign_r * y^s + sign_s * 2^m = x^r, with x = hit.z and r = hit.t.
+        sx, sy = (1, -hit.sign_r) if hit.sign_s == 1 else (-1, hit.sign_r)
+        m = hit.y.bit_length() - 1
+        for t in range(lo, m + 1):
+            if m % t == 0:
+                rec = _mk_record(hit.z, hit.t, sx, hit.x, s, sy, 2 ** (m // t), t)
+                out[rec.sort_key()] = rec
     return [out[k] for k in sorted(out)]
 
 

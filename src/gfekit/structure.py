@@ -505,6 +505,15 @@ def _general_variable(name: str, expo: int, l: int) -> VariableProfile:
     )
 
 
+def _a2(table: dict, family: str, l: int) -> Fraction:
+    """The a2 coefficient of l in a family's table, or a ValueError that
+    names the tabled primes."""
+    if l not in table:
+        raise ValueError(f"l={l} is not in the {family} a2 table; tabled primes: "
+                         f"{', '.join(map(str, sorted(table)))}")
+    return Fraction(table[l])
+
+
 def structure_profile(
     family_case: str,
     exponents: tuple[int, ...],
@@ -521,13 +530,13 @@ def structure_profile(
             raise ValueError("general family needs exponents >= 4")
         if (r * s * t) % l == 0:
             raise ValueError("need l coprime to the exponents")
+        a2 = _a2(_GENERAL_ALT, "general", l)
         variables = {
             "x": _general_variable("x", r, l),
             "y": _general_variable("y", s, l),
             "z": _general_variable("z", t, l),
         }
         a1 = a1_coefficient("general-2tor-alt", l)
-        a2 = Fraction(_GENERAL_ALT[l])
         rp, sp, tp = (Fraction(e) - a1 for e in sorted((r, s, t)))
         pair_caps = {}
         if rp + sp > 0:
@@ -549,7 +558,7 @@ def structure_profile(
         v2_prod = threers_v2_product_cap()
         rl_prod = threers_rl_product_cap()
         collapse = threers_collapse_threshold()
-        a2 = Fraction(_THREERS_TABLE[l])
+        a2 = _a2(_THREERS_TABLE, "threers", l)
         variables = {}
         for name, expo, lpart in (("x", r, xl), ("y", s, yl)):
             coeff = Fraction(3 * expo)

@@ -157,11 +157,19 @@ def test_campaign_expands_each_spec_and_masks_each_value_once():
     distinct = {json.dumps(spec, sort_keys=True) for spec in specs}
     pair_values = {v for t in p3.tasks for key in "ab"
                    for v in search.enumerate_candidates(t.params[key])}
-    assert (len(specs), len(distinct), len(pair_values)) == (504, 36, 1323)
+    # The tail tasks run through check_pair, so their candidates and their
+    # powers 2^m are masked too.
+    tail_values = {v for t in p1.tasks
+                   for v in search.enumerate_candidates(t.params["spec"])}
+    powers = {2**m for t in p1.tasks
+              for m in range(t.params["m_lo"], t.params["m_hi"] + 1)}
+    masked = pair_values | tail_values | powers
+    assert (len(specs), len(distinct), len(pair_values), len(powers),
+            len(masked)) == (504, 36, 1323, 237, 1594)
     report = run_campaign(plan, shards=1)
     assert report.report_hash() == P3_P1_REPORT
     assert search._expand_spec.cache_info().misses == len(distinct)
-    assert search._support_mask.cache_info().misses == len(pair_values)
+    assert search._support_mask.cache_info().misses == len(masked)
 
 
 def test_p1_plan_shape():
@@ -232,6 +240,29 @@ def test_plan_roundtrip(tmp_path):
     plan.save(str(path))
     loaded = CampaignPlan.load(str(path))
     assert loaded.plan_hash() == plan.plan_hash()
+
+
+def test_tail_plan_passes_the_param_types():
+    plan = build_p1_plan(7, 11, box_limit=20)
+    loaded = CampaignPlan.from_dict(json.loads(json.dumps(plan.as_dict())))
+    assert loaded.plan_hash() == plan.plan_hash()
+
+
+_PAIR = {"a": {"values": [1]}, "b": {"smooth": 1, "l": 11}, "r": 2, "s": 3,
+         "t_set": [2]}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("r", "2"), ("s", 2.5), ("r", True), ("t_set", 9), ("t_set", [2, "3"]),
+    ("a", {"values": "x"}), ("a", [1, 2]), ("b", {"smooth": 1}),
+    ("b", {"smooth": 1, "l": 11, "lparts": 1}),
+    ("b", {"smooth": 1, "l": 11, "e2cap": 3}),
+])
+def test_mistyped_param_names_task_and_param(key, value):
+    tasks = [{"task_id": "ok", "kind": "pair", "params": _PAIR},
+             {"task_id": "bad", "kind": "pair", "params": {**_PAIR, key: value}}]
+    with pytest.raises(ValueError, match=f"^plan task 1 \\(pair\\) param '{key}' must be "):
+        CampaignPlan.from_dict({"name": "x", "tasks": tasks})
 
 
 def test_report_roundtrip(tmp_path):

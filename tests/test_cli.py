@@ -204,6 +204,31 @@ def test_profile_with_more_than_three_exponents_is_usage_error(capsys):
     assert err.endswith("gfekit profile: error: at most 3 exponents, got 4\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("profile", "--family", "general", "4", "5", "11"),
+     "gfekit profile: error: the general family takes 3 exponents, got 2"),
+    (("profile", "--family", "twothree", "61", "9", "11"),
+     "gfekit profile: error: the twothree family takes 1 exponent, got 2"),
+    (("bounds", "general", "5", "7", "--set", "11", "13"),
+     "gfekit bounds: error: the general family takes 3 exponents, got 2"),
+    (("bounds", "threers-2tor", "7", "11", "13", "--set", "17", "19"),
+     "gfekit bounds: error: the threers family takes 2 exponents, got 3"),
+])
+def test_exponent_count_that_does_not_fit_the_family_is_usage_error(
+        capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", message + "\n")
+
+
+@pytest.mark.parametrize("argv, family, tabled", [
+    (("profile", "4", "5", "7", "43"), "general", "11, 13, 17, 19, 23"),
+    (("profile", "--family", "threers", "7", "11", "43"), "threers",
+     "17, 19, 23, 29, 31"),
+])
+def test_profile_l_outside_the_a2_table_is_domain_error(capsys, argv, family, tabled):
+    assert run(capsys, *argv) == (
+        1, "", f"error: l=43 is not in the {family} a2 table; tabled primes: {tabled}\n")
+
+
 @pytest.mark.parametrize("height", ["-5", "0"])
 def test_scan_height_below_one_is_empty_box(capsys, height):
     assert run(capsys, "scan-small-z1", "--height", height) == (
@@ -232,6 +257,21 @@ PAIR_PARAMS = {"a": {"values": [1]}, "b": {"values": [2]}, "r": 2, "s": 3, "t_se
                              {"task_id": "u", "kind": "tail", "params": {
                                  "spec": [3], "s": 3, "r_set": [2], "m_lo": 70}}]},
      "plan task 1 (tail) has no param 'm_hi'"),
+    ({"name": "x", "tasks": [{"task_id": "t", "kind": "pair", "params": {
+        **PAIR_PARAMS, "r": "2"}}]},
+     "plan task 0 (pair) param 'r' must be an int, got '2'"),
+    ({"name": "x", "tasks": [{"task_id": "t", "kind": "pair", "params": {
+        **PAIR_PARAMS, "t_set": 9}}]},
+     "plan task 0 (pair) param 't_set' must be a list of ints, got 9"),
+    ({"name": "x", "tasks": [{"task_id": "t", "kind": "pair", "params": {
+        **PAIR_PARAMS, "b": {"values": "x"}}}]},
+     "plan task 0 (pair) param 'b' must be {\"values\": [int, ...]} or a generator "
+     "spec of int smooth, l, e2_cap, e3_cap, el_cap and int list lparts, "
+     "got {'values': 'x'}"),
+    ({"name": "x", "tasks": [{"task_id": "t", "kind": "tail", "params": {
+        "spec": {"values": [1, 3, 5]}, "s": 3, "r_set": [2], "m_lo": 0,
+        "m_hi": 3}}]},
+     "2-power window [0,3] must start at m >= 1"),
 ])
 def test_malformed_plan_is_domain_error(capsys, tmp_path, plan, message):
     path = tmp_path / "plan.json"

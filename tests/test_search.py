@@ -228,6 +228,14 @@ def test_check_power_tail_rejects_nonpositive_candidates(ys):
         check_power_tail(ys, 5, {4}, range(70, 75))
 
 
+@pytest.mark.parametrize("m_bounds, m_range", [((0, 3), range(0, 4)),
+                                               ((-2, 3), range(1, 4))])
+def test_power_tail_window_must_start_at_one(m_bounds, m_range):
+    lo, hi = m_bounds
+    with pytest.raises(ValueError, match=rf"window \[{lo},{hi}\] must start at m >= 1"):
+        check_power_tail([1, 3, 5], 3, {2}, m_range, m_bounds=m_bounds)
+
+
 def test_root_exponents_below_two_are_rejected():
     with pytest.raises(ValueError):
         check_pair([2], 2, [3], 3, {1, 2})

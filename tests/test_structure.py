@@ -230,6 +230,16 @@ def test_structure_profile_twothree():
         structure_profile("twothree", (110,), 11)  # sieved out
 
 
+@pytest.mark.parametrize("family, exponents, tabled", [
+    ("general", (4, 5, 7), "11, 13, 17, 19, 23"),
+    ("threers", (7, 11), "17, 19, 23, 29, 31"),
+])
+def test_structure_profile_names_the_tabled_primes(family, exponents, tabled):
+    with pytest.raises(ValueError, match=f"l=43 is not in the {family} a2 table; "
+                                         f"tabled primes: {tabled}$"):
+        structure_profile(family, exponents, 43)
+
+
 def test_structure_profile_rejects_bad_l():
     with pytest.raises(ValueError):
         structure_profile("general", (4, 5, 11), 11)
