@@ -31,6 +31,8 @@ __all__ = [
 # factor() trial-divides by the primes up to this bound only. A cofactor left
 # below its square has no prime factor up to the bound, so it is prime.
 _TRIAL_BOUND = 1000
+_TRIAL_SQUARE = _TRIAL_BOUND * _TRIAL_BOUND
+_TRIAL_BITS = _TRIAL_BOUND.bit_length() - 1
 _DEFAULT_SEED = [0]
 
 
@@ -50,41 +52,73 @@ def small_primes(limit: int = _TRIAL_BOUND) -> tuple[int, ...]:
     return tuple(i for i, f in enumerate(flags) if f)
 
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.317e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_DETERMINISTIC_LIMIT = 3317044064679887385961981
-# Random Miller-Rabin witnesses tried above the limit, drawn from
+# factor() screens n >= _TRIAL_SQUARE with one gcd against this product
+# instead of dividing by all 168 trial primes.
+_TRIAL_PRIMORIAL = math.prod(small_primes(_TRIAL_BOUND))
+
+
+# Deterministic Miller-Rabin tiers: the first k primes as bases prove every
+# n below the limit, which is the least strong pseudoprime to all k of them.
+# Jaeschke, "On strong pseudoprimes to several bases", Math. Comp. 61 (1993),
+# for k <= 9 (the 8-base limit equals the 7-base one, and 10 or 11 bases do
+# not raise the 9-base one); Sorenson & Webster, "Strong pseudoprimes to twelve
+# prime bases", Math. Comp. 86 (2017), for k = 12 and 13.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_TIERS = tuple((limit, _MR_BASES[:k]) for limit, k in (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (3317044064679887385961981, 13),
+))
+# Random Miller-Rabin witnesses tried above the last limit, drawn from
 # random.Random(n) so each n always gets the same answer.
 _MR_ROUNDS = 64
 
 
-def _miller_rabin(n: int, a: int) -> bool:
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    x = pow(a, d, n)
-    if x in (1, n - 1):
-        return True
-    for _ in range(s - 1):
-        x = x * x % n
-        if x == n - 1:
-            return True
-    return False
+def _miller_rabin(n: int, bases) -> bool:
+    """True when odd n is a strong probable prime to every base in [2, n - 2]."""
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def is_prime(n: int) -> bool:
-    """Primality test; deterministic below 3.3e24, else _MR_ROUNDS random
-    Miller-Rabin witnesses."""
+    """Primality test: trial division by the primes up to 41, then Miller-Rabin.
+
+    Below 3,317,044,064,679,887,385,961,981 the test is deterministic and
+    uses the fewest of the first 13 primes that are proven witnesses for n's
+    size: one base below 2047, three below 25,326,001, nine below 3.8e18,
+    twelve below 3.2e23 and all 13 (2..41) up to the limit (Jaeschke 1993;
+    Sorenson & Webster 2017). Above it, _MR_ROUNDS random bases drawn from
+    random.Random(n).
+    """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    if n < _MR_DETERMINISTIC_LIMIT:
-        return all(_miller_rabin(n, a) for a in _MR_WITNESSES if a < n - 1)
+    for limit, bases in _MR_TIERS:
+        if n < limit:
+            return _miller_rabin(n, bases)
     rng = random.Random(n)
-    return all(_miller_rabin(n, rng.randrange(2, n - 1)) for _ in range(_MR_ROUNDS))
+    return _miller_rabin(n, (rng.randrange(2, n - 1) for _ in range(_MR_ROUNDS)))
 
 
 def _pollard_rho(n: int, rng: random.Random, budget: list[int]) -> int:
@@ -101,7 +135,7 @@ def _pollard_rho(n: int, rng: random.Random, budget: list[int]) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 budget[0] -= min(m, r - k)
                 if budget[0] <= 0:
                     raise FactorizationBudgetExceeded(
@@ -114,7 +148,7 @@ def _pollard_rho(n: int, rng: random.Random, budget: list[int]) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
 
@@ -125,8 +159,10 @@ def _factor_into(n: int, out: dict[int, int], rng: random.Random, budget: list[i
     if is_prime(n):
         out[n] = out.get(n, 0) + 1
         return
-    # Composites surviving trial division may still be proper powers.
-    root, k = is_perfect_power(n)
+    # Composites surviving trial division may still be proper powers m^k. Every
+    # prime factor of n exceeds _TRIAL_BOUND >= 2^_TRIAL_BITS, so
+    # n > 2^(_TRIAL_BITS * k) caps the exponent.
+    root, k = _perfect_power(n, (n.bit_length() - 1) // _TRIAL_BITS)
     if k > 1:
         sub: dict[int, int] = {}
         _factor_into(root, sub, rng, budget)
@@ -138,27 +174,54 @@ def _factor_into(n: int, out: dict[int, int], rng: random.Random, budget: list[i
     _factor_into(n // d, out, rng, budget)
 
 
+def _divide_out(n: int, p: int, factors: dict[int, int]) -> int:
+    """Record the power of prime p dividing n in factors; return the rest."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    factors[p] = e
+    return n
+
+
 def factor(n: int, *, budget: int = 50_000_000, seed: int | None = None) -> "FactoredInteger":
     """Factor a positive integer into certified primes.
 
-    Trial division by the primes up to 1000 (`_TRIAL_BOUND`). A cofactor
-    below 1000^2 is then prime; a larger one is proven prime by `is_prime`,
-    or split by the perfect-power check and Brent-Pollard rho under a work
-    budget. Raises FactorizationBudgetExceeded rather than returning a
-    partial map. The map is built from proven primes only, so it skips the
-    public constructor's primality re-check.
+    Trial division by the primes up to 1000 (`_TRIAL_BOUND`): below 1000^2
+    the loop stops at sqrt(n); from 1000^2 on, one gcd with the product of
+    the 168 trial primes picks out the ones dividing n, and only those are
+    divided out. A cofactor below 1000^2 is then prime; a larger one is
+    proven prime by `is_prime` (Miller-Rabin with the witness tier for its
+    size), or split by a perfect-power check and Brent-Pollard rho under a
+    work budget. The cofactor's prime factors all exceed 1000 > 2^9, so the
+    power check tries only prime exponents k <= (bit_length - 1) // 9.
+    Raises FactorizationBudgetExceeded rather than returning a partial map.
+    The map is built from proven primes only, so it skips the public
+    constructor's primality re-check.
     """
     if n < 1:
         raise ValueError(f"factor() requires n >= 1, got {n}")
     factors: dict[int, int] = {}
-    for p in small_primes(_TRIAL_BOUND):
-        if p * p > n:
-            break
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
+    if n < _TRIAL_SQUARE:
+        for p in small_primes(_TRIAL_BOUND):
+            if p * p > n:
+                break
+            while n % p == 0:
+                factors[p] = factors.get(p, 0) + 1
+                n //= p
+    else:
+        # m holds each trial prime dividing n once; its last cofactor is prime.
+        m = math.gcd(n, _TRIAL_PRIMORIAL)
+        for p in small_primes(_TRIAL_BOUND):
+            if p * p > m:
+                break
+            if m % p == 0:
+                m //= p
+                n = _divide_out(n, p, factors)
+        if m > 1:
+            n = _divide_out(n, m, factors)
     if n > 1:
-        if n < _TRIAL_BOUND * _TRIAL_BOUND:
+        if n < _TRIAL_SQUARE:
             factors[n] = factors.get(n, 0) + 1
         else:
             if seed is None:
@@ -321,16 +384,22 @@ def is_perfect_square(n: int) -> tuple[int, bool]:
     return r, r * r == n
 
 
+def _perfect_power(n: int, max_exp: int) -> tuple[int, int]:
+    """Smallest base m with n = m^k, as (m, k), trying prime exponents up to
+    max_exp only; (n, 1) if none gives an exact root."""
+    for t in small_primes(max_exp):
+        r, exact = integer_nth_root(n, t)
+        if exact:
+            m, k = _perfect_power(r, max_exp // t)
+            return m, k * t
+    return n, 1
+
+
 def is_perfect_power(n: int) -> tuple[int, int]:
     """Smallest base m with n = m^k, as (m, k); (n, 1) if n is not a power."""
     if n < 4:
         return n, 1
-    for t in small_primes(n.bit_length()):
-        r, exact = integer_nth_root(n, t)
-        if exact:
-            m, k = is_perfect_power(r)
-            return m, k * t
-    return n, 1
+    return _perfect_power(n, n.bit_length() - 1)
 
 
 @lru_cache(maxsize=None)

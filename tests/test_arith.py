@@ -103,6 +103,50 @@ def test_factor_map_does_not_depend_on_seed():
         assert factor(n, seed=0).items() == factor(n, seed=1).items(), n
 
 
+# Least strong pseudoprime to the first k prime bases, for the k of each
+# Miller-Rabin tier: Jaeschke (1993) for k <= 9, Sorenson & Webster (2017)
+# for k = 12 and 13.
+MR_TIER_LIMITS = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
+
+
+def test_is_prime_rejects_each_tier_limit():
+    import sympy  # test oracle only
+
+    for limit in MR_TIER_LIMITS:
+        assert not is_prime(limit), limit
+        assert not sympy.isprime(limit), limit
+    # The least strong pseudoprime to bases 2..37 needs base 41.
+    assert factor(318665857834031151167461).factors == {399165290221: 1, 798330580441: 1}
+
+
+def test_is_prime_near_tier_limits_matches_sympy():
+    import sympy  # test oracle only
+
+    for limit in MR_TIER_LIMITS:
+        for n in range(limit - 2000, limit + 2001, 2):  # the odd n, as limit is odd
+            assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_factor_matches_sympy_on_screen_and_power_paths():
+    import sympy  # test oracle only
+
+    rng = random.Random(28)
+    samples = [1009**k for k in range(2, 13)]  # where the exponent cap is tightest
+    samples += [1000003**3 * 1009, 997 * 1009, 997**2 * 1013**3]
+    samples += list(range(1, 5000))
+    for n in samples:
+        assert factor(n).factors == sympy.factorint(n), n
+    # By unique factorization, a map of sympy-proven primes whose product is n
+    # is sympy.factorint(n); this costs a third of calling factorint here.
+    for n in (rng.randrange(10**6, 10**18) for _ in range(500)):
+        f = factor(n)
+        assert f.value() == n and all(sympy.isprime(p) for p in f.primes()), n
+
+
 def test_radical_examples():
     assert radical(factor(1)).factors == {}
     assert radical(FactoredInteger({2: 2, 3: 1})).factors == {2: 1, 3: 1}

@@ -19,6 +19,7 @@ from gfekit.catalog import (
     status,
 )
 from gfekit.search import SolutionRecord
+from gfekit.structure import twothree_admissible_t
 
 
 def test_chi_examples():
@@ -141,6 +142,15 @@ def test_count_beal_reports_structured_discrepancy():
     )
     for entry in report["delta_signatures"]:
         assert "reduces to" in entry["citation"]
+
+
+@pytest.mark.parametrize(("m", "size"), [(4, 39), (8, 27), (10, 27)])
+def test_beal_ledger_3_m_n_is_a_strict_subset_of_the_2_3_n_sieve(m, size):
+    # (3, m, n) reduces to (2, 3, n) for these m, so its remaining n must
+    # survive the (2, 3, n) sieve; reductions remove some of the survivors.
+    ns = {n for a, b, n in count_remaining("beal").ledger if (a, b) == (3, m)}
+    assert len(ns) == size
+    assert ns < set(twothree_admissible_t())
 
 
 def test_counters_mode_validation_and_exclusion_toggle():
