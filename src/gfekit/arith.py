@@ -26,6 +26,7 @@ __all__ = [
     "integer_nth_root",
     "is_perfect_power",
     "small_primes",
+    "SMALL_PRIMORIAL",
 ]
 
 # factor() trial-divides by the primes up to this bound only. A cofactor left
@@ -52,9 +53,10 @@ def small_primes(limit: int = _TRIAL_BOUND) -> tuple[int, ...]:
     return tuple(i for i, f in enumerate(flags) if f)
 
 
-# factor() screens n >= _TRIAL_SQUARE with one gcd against this product
-# instead of dividing by all 168 trial primes.
-_TRIAL_PRIMORIAL = math.prod(small_primes(_TRIAL_BOUND))
+# The product of the 168 primes up to _TRIAL_BOUND. factor() screens
+# n >= _TRIAL_SQUARE with one gcd against it instead of dividing by every
+# trial prime; search's support masks read a value's small primes the same way.
+SMALL_PRIMORIAL = math.prod(small_primes(_TRIAL_BOUND))
 
 
 # Deterministic Miller-Rabin tiers: the first k primes as bases prove every
@@ -211,7 +213,7 @@ def factor(n: int, *, budget: int = 50_000_000, seed: int | None = None) -> "Fac
                 n //= p
     else:
         # m holds each trial prime dividing n once; its last cofactor is prime.
-        m = math.gcd(n, _TRIAL_PRIMORIAL)
+        m = math.gcd(n, SMALL_PRIMORIAL)
         for p in small_primes(_TRIAL_BOUND):
             if p * p > m:
                 break
@@ -367,19 +369,14 @@ def integer_nth_root(n: int, t: int) -> tuple[int, bool]:
     return r, r**t == n
 
 
-# Residue filters: a perfect square must be a square modulo each modulus.
-_SQ_MOD = {
-    m: frozenset((i * i) % m for i in range(m)) for m in (256, 255, 7 * 11 * 13, 325)
-}
-
-
 def is_perfect_square(n: int) -> tuple[int, bool]:
-    """(isqrt(n), exact) with cheap residue rejection before the isqrt."""
+    """(isqrt(n), exact) for n >= 0, and (0, False) for n < 0.
+
+    No residue screen: the one caller, search.small_z1_scan, sieves its
+    values modulo small squares before it asks.
+    """
     if n < 0:
         return 0, False
-    for m, residues in _SQ_MOD.items():
-        if n % m not in residues:
-            return 0, False
     r = math.isqrt(n)
     return r, r * r == n
 

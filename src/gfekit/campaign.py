@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 _PLAN_L_CHOICES = (11, 13, 17, 19)
+# The 2-power window m_lo..m_hi of every P1 tail task: z^t = 2^m with t at
+# least the window's start, which also bounds the plan's exponents r, s.
+_P1_WINDOW = (70, 306)
 # The most smooth parts one coordinate of a plan may list: a larger cap with
 # no box_limit would build a list no run can hold (P2(4,5,8) has cap 71).
 _SMOOTH_PART_MAX = 10**6
@@ -389,10 +392,11 @@ def _spec_for(profile_var, smooth: int, l: int, box_limit: int | None) -> dict:
 def build_p1_plan(r: int, s: int, *, l: int | None = None,
                   box_limit: int | None = None) -> CampaignPlan:
     """Low exponents against a forced 2-power third coordinate (t >= 70)."""
-    if not 4 <= r <= s < 70:
-        raise ValueError("plan needs 4 <= r <= s < 70")
+    m_lo, m_hi = _P1_WINDOW
+    if not 4 <= r <= s < m_lo:
+        raise ValueError(f"plan needs 4 <= r <= s < {m_lo}")
     l = _choose_l(r, s, given=l)
-    prof = structure_profile("general", (r, s, 70), l)
+    prof = structure_profile("general", (r, s, m_lo), l)
     cap = _pair_cap(prof, "min-single", box_limit)
     tasks = []
     for name, expo, other in (("x", r, s), ("y", s, r)):
@@ -404,7 +408,7 @@ def build_p1_plan(r: int, s: int, *, l: int | None = None,
                 task_id=f"p1-{name}{smooth}",
                 kind="tail",
                 params={"spec": spec, "s": expo, "r_set": [other],
-                        "m_lo": 70, "m_hi": 306},
+                        "m_lo": m_lo, "m_hi": m_hi},
             ))
     return CampaignPlan(
         name=f"P1({r},{s};l={l})", tasks=tasks,

@@ -50,7 +50,7 @@ def _check_l(l: int, *, forbid_13: bool = False) -> None:
     if l < 11 or not is_prime(l):
         raise ValueError(f"auxiliary prime l must be a prime >= 11, got {l}")
     if forbid_13 and l == 13:
-        raise ValueError("this dataset requires l != 13")
+        raise ValueError("auxiliary prime l must not be 13 in the (2,3,t) and cube families")
 
 
 def dataset(family: FreyFamily, kind: int, l: int, q: int | None = None) -> RamificationDataset:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import integer_nth_root, is_perfect_square, small_primes
+from .arith import SMALL_PRIMORIAL, integer_nth_root, is_perfect_square, small_primes
 
 __all__ = [
     "SolutionRecord",
@@ -117,31 +117,32 @@ def _expand_spec(smooth: int, l: int, e2_cap: int, e3_cap: int, el_cap: int,
     return tuple(sorted(out))
 
 
-# Primes below this bound give the coprimality masks of check_pair and the
-# moduli of the power-residue tables; a table's modulus stays at most the cap.
-_SIEVE_PRIME_BOUND = 1000
+# The primes below 1000 (arith.small_primes()) give the coprimality masks of
+# check_pair and the moduli of the power-residue tables; a table's modulus
+# stays at most the cap.
 _RESIDUE_MODULUS_CAP = 2**16
 
 
-@lru_cache(maxsize=None)
-def _sieve_primes() -> tuple[tuple[int, ...], int]:
-    """The primes below _SIEVE_PRIME_BOUND, and their product."""
-    below = small_primes(_SIEVE_PRIME_BOUND - 1)
-    return below, math.prod(below)
+def _power_flags(t: int, m: int) -> bytes:
+    """m bytes, byte j set to 1 exactly when j is a t-th power modulo m."""
+    flags = bytearray(m)
+    for i in range(m):
+        flags[pow(i, t, m)] = 1
+    return bytes(flags)
 
 
 @lru_cache(maxsize=None)
 def _power_residues(t: int) -> tuple[int, bytes]:
     """(m, table) with table[v % m] == 0 only if v is not a t-th power.
 
-    m is the product of the primes q < _SIEVE_PRIME_BOUND with q = 1 (mod t),
-    taken in increasing order while m stays at most _RESIDUE_MODULUS_CAP;
-    such a q has only (q - 1)/t + 1 t-th power residues. table[j] is 1
-    exactly when j is a t-th power modulo every such q. With no such q,
-    m = 1 and the table rejects nothing.
+    m is the product of the primes q < 1000 with q = 1 (mod t), taken in
+    increasing order while m stays at most _RESIDUE_MODULUS_CAP; such a q
+    has only (q - 1)/t + 1 t-th power residues. table[j] is 1 exactly when
+    j is a t-th power modulo every such q. With no such q, m = 1 and the
+    table rejects nothing.
     """
     m, qs = 1, []
-    for q in _sieve_primes()[0]:
+    for q in small_primes():
         if q % t == 1:
             if m * q > _RESIDUE_MODULUS_CAP:
                 break
@@ -149,10 +150,7 @@ def _power_residues(t: int) -> tuple[int, bytes]:
             qs.append(q)
     mask = int.from_bytes(b"\x01" * m, "big")
     for q in qs:
-        pattern = bytearray(q)
-        for i in range(q):
-            pattern[pow(i, t, q)] = 1
-        mask &= int.from_bytes(bytes(pattern) * (m // q), "big")
+        mask &= int.from_bytes(_power_flags(t, q) * (m // q), "big")
     return m, mask.to_bytes(m, "big")
 
 
@@ -177,17 +175,16 @@ def _support_mask(v: int) -> int:
     """Coprimality mask of v >= 1: two values are coprime if their masks
     share no bit, and share a prime if they share a bit other than bit 0.
 
-    Bit i >= 1 marks the i-th prime below _SIEVE_PRIME_BOUND (bit 1 is 2),
-    set when it divides v; the assignment is fixed, so a value's mask does
-    not depend on the list it comes with. Bit 0 marks a cofactor > 1 left
+    Bit i >= 1 marks the i-th prime below 1000 (bit 1 is 2), set when it
+    divides v; the assignment is fixed, so a value's mask does not depend
+    on the list it comes with. Bit 0 marks a cofactor > 1 left
     after those primes are stripped: v has one exactly when v does not
     divide g^bits(v), g the product of its small primes. Two values that
     both have bit 0 need math.gcd to decide.
     """
-    primes, primorial = _sieve_primes()
-    g = rest = math.gcd(v, primorial)
+    g = rest = math.gcd(v, SMALL_PRIMORIAL)
     mask = int(pow(g, v.bit_length(), v) != 0)
-    for i, p in enumerate(primes, 1):
+    for i, p in enumerate(small_primes(), 1):
         if rest == 1:
             break
         if rest % p == 0:
@@ -214,15 +211,16 @@ def check_pair(
 
     Two filters run before any exact work, and both only reject. Each x
     meets only the ys whose support mask (see _support_mask: a fixed bit per
-    prime below _SIEVE_PRIME_BOUND, bit 0 for a larger cofactor) shares no
-    small prime with its own, a list built once per distinct x mask; each
-    mask is computed once per value and process. math.gcd decides only pairs
-    where both values keep a cofactor above the mask's primes. Each value
+    prime below 1000, bit 0 for a larger cofactor) shares no small prime
+    with its own, a list built once per distinct x mask; each mask is
+    computed once per value and process. math.gcd decides only pairs where
+    both values keep a cofactor above the mask's primes. Each value
     |x^r +- y^s| of a coprime pair then meets, per t, a table of t-th power
     residues modulo a product of small primes q = 1 (mod t), looked up in
     place; a value that is not a t-th power residue is no t-th power. Every
-    survivor gets the exact integer_nth_root, the gcd checks against z and
-    the record's exact re-verification.
+    survivor gets the exact integer_nth_root and the record's exact
+    re-verification. A root z needs no gcd check: a prime dividing z and x
+    would divide y^s, and the pair is coprime.
     """
     xs = _candidate_values(x_candidates)
     ys = _candidate_values(y_candidates)
@@ -249,8 +247,6 @@ def check_pair(
                     z, exact = integer_nth_root(value, t)
                     if not exact or z == 1 and not allow_unit_root:
                         continue
-                    if math.gcd(x, z) != 1 or math.gcd(y, z) != 1:
-                        continue
                     sx, sy = (1, 1) if value == xr + ys_ else \
                         (1, -1) if xr > ys_ else (-1, 1)
                     rec = _mk_record(x, r, sx, y, s, sy, z, t)
@@ -264,7 +260,7 @@ def check_power_tail(
     r_set,
     m_range,
     *,
-    m_bounds: tuple[int, int] = (70, 306),
+    m_bounds: tuple[int, int],
 ) -> list[SolutionRecord]:
     """Check |y^s +- 2^m| = x^r over a candidate list and a 2-power window.
 
@@ -305,16 +301,8 @@ def check_power_tail(
 # Pairwise-coprime moduli of the y-prefilter in small_z1_scan, each with a
 # 0/1 table of its square residues and the cube of every residue.
 _Y_SIEVE_MODULI = (64, 63, 65, 11, 17, 19)
-
-
-def _residue_tables(m: int) -> tuple[int, bytes, tuple[int, ...]]:
-    squares = bytearray(m)
-    for i in range(m):
-        squares[i * i % m] = 1
-    return m, bytes(squares), tuple(i**3 % m for i in range(m))
-
-
-_Y_SIEVE = tuple(_residue_tables(m) for m in _Y_SIEVE_MODULI)
+_Y_SIEVE = tuple((m, _power_flags(2, m), tuple(i**3 % m for i in range(m)))
+                 for m in _Y_SIEVE_MODULI)
 
 
 def _square_residue_ys(k: int, lo: int, hi: int, sign: int) -> list[int]:
@@ -366,6 +354,9 @@ def small_z1_scan(
     a few small coprime moduli, which every square is. Each survivor
     coprime to z then gets the exact square test, and every record is
     re-verified by exact integer arithmetic, so the mask drops no solution.
+    A root x needs no further check: with gcd(y, z) = 1, a prime dividing
+    x and y, or x and z, would divide the third term too, and x = 0 would
+    need y^3 = z^t with gcd(y, z) = 1, so y = z = 1, which no branch scans.
     """
     if z1_bound < 1 or t_max < t_min or height_bound < 1:
         raise ValueError("empty scan box")
@@ -378,14 +369,6 @@ def small_z1_scan(
             z //= 3
         return z
 
-    def emit(x, sx, y, sy, z, t):
-        if x < 1 or y < 1 or math.gcd(x, y) != 1:
-            return
-        if math.gcd(x, z) != 1 or math.gcd(y, z) != 1:
-            return
-        rec = _mk_record(x, 2, sx, y, 3, sy, z, t)
-        out[(sx * x * x, sy * y**3, z**t)] = rec
-
     def scan(z, t, branches):
         # Each branch (k, lo, hi, sign, sx, sy) solves x^2 = (sign*y)^3 + k
         # for lo <= y <= hi and emits sx*x^2 + sy*y^3 = z^t.
@@ -394,7 +377,8 @@ def small_z1_scan(
                 if math.gcd(y, z) == 1:
                     x, exact = is_perfect_square(sign * y**3 + k)
                     if exact:
-                        emit(x, sx, y, sy, z, t)
+                        out[(sx * x * x, sy * y**3, z**t)] = \
+                            _mk_record(x, 2, sx, y, 3, sy, z, t)
 
     # Degenerate target z^t = 1: x^2 - y^3 = +-1 within the window.
     top = min(y_window, 10**4)

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .arith import divisors, factor, is_prime, small_primes
 from .linlog import LinLog, log_atom, log_bounds, log_of_int
-from .ramification import A2_TABLES, a1_coefficient
+from .ramification import A2_TABLES, _check_l, a1_coefficient
 
 __all__ = [
     "StructureProfile",
@@ -528,9 +528,9 @@ def structure_profile(
         r, s, t = exponents
         if min(r, s, t) < 4:
             raise ValueError("general family needs exponents >= 4")
+        a2 = _a2(_GENERAL_ALT, "general", l)
         if (r * s * t) % l == 0:
             raise ValueError("need l coprime to the exponents")
-        a2 = _a2(_GENERAL_ALT, "general", l)
         variables = {
             "x": _general_variable("x", r, l),
             "y": _general_variable("y", s, l),
@@ -553,12 +553,12 @@ def structure_profile(
 
     if family_case == "threers":
         r, s = exponents
+        a2 = _a2(_THREERS_TABLE, "threers", l)
         xl, yl = threers_lpart_candidates(r, s, l)
         v3_prod, r3_max = threers_v3_sieve()
         v2_prod = threers_v2_product_cap()
         rl_prod = threers_rl_product_cap()
         collapse = threers_collapse_threshold()
-        a2 = _a2(_THREERS_TABLE, "threers", l)
         variables = {}
         for name, expo, lpart in (("x", r, xl), ("y", s, yl)):
             coeff = Fraction(3 * expo)
@@ -590,6 +590,7 @@ def structure_profile(
 
     if family_case == "twothree":
         (t,) = exponents
+        _check_l(l, forbid_13=True)  # the rule of the (2,3,t) datasets
         admissible = twothree_admissible_t()
         if t not in admissible:
             raise ValueError(f"t={t} is outside the admissible exponent set")

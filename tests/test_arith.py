@@ -12,6 +12,7 @@ from gfekit.arith import (
     factor,
     integer_nth_root,
     is_perfect_power,
+    is_perfect_square,
     is_prime,
     k_full_part,
     radical,
@@ -235,6 +236,24 @@ def test_perfect_power():
     assert is_perfect_power(2**10 * 3**5) == (12, 5)
     assert is_perfect_power(2**10 * 3**7)[1] == 1
     assert is_perfect_power(3**1009) == (3, 1009)  # a prime exponent above 1000
+
+
+def _isqrt_pair(n):
+    r = math.isqrt(n)
+    return r, r * r == n
+
+
+def test_is_perfect_square_on_a_range():
+    for n in range(-100, 20000):
+        assert is_perfect_square(n) == (_isqrt_pair(n) if n >= 0 else (0, False)), n
+
+
+@given(st.integers(min_value=0, max_value=10**40), st.integers(min_value=-3, max_value=3))
+def test_is_perfect_square_is_the_exact_isqrt(root, shift):
+    # near squares and arbitrary values alike
+    for n in (root * root + shift, root):
+        expected = _isqrt_pair(n) if n >= 0 else (0, False)
+        assert is_perfect_square(n) == expected
 
 
 @pytest.mark.parametrize("limit", [0, 1, 2, 31, 1000, 5000])

@@ -1,13 +1,16 @@
 import argparse
 import hashlib
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gfekit import cli, errors
 from gfekit.campaign import CampaignPlan, explicit_box_task
@@ -227,6 +230,51 @@ def test_exponent_count_that_does_not_fit_the_family_is_usage_error(
 def test_profile_l_outside_the_a2_table_is_domain_error(capsys, argv, family, tabled):
     assert run(capsys, *argv) == (
         1, "", f"error: l=43 is not in the {family} a2 table; tabled primes: {tabled}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("profile", "61", "9"), "auxiliary prime l must be a prime >= 11, got 9"),
+    (("profile", "--family", "twothree", "61", "9"),
+     "auxiliary prime l must be a prime >= 11, got 9"),
+    (("profile", "113", "13"),
+     "auxiliary prime l must not be 13 in the (2,3,t) and cube families"),
+    (("profile", "4", "5", "7", "1"),
+     "l=1 is not in the general a2 table; tabled primes: 11, 13, 17, 19, 23"),
+    (("profile", "4", "5", "7", "0"),  # looked up before l divides anything
+     "l=0 is not in the general a2 table; tabled primes: 11, 13, 17, 19, 23"),
+    (("profile", "--family", "threers", "7", "11", "13"),
+     "l=13 is not in the threers a2 table; tabled primes: 17, 19, 23, 29, 31"),
+])
+def test_profile_checks_l_against_its_family(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@st.composite
+def profile_argv(draw):
+    """`profile` argv: a family or none, mostly as many exponents as it
+    takes, and l from inside and outside the a2 tables or a token that does
+    not parse."""
+    family = draw(st.sampled_from([None, "general", "threers", "twothree"]))
+    count = cli._EXPONENT_COUNT.get(family)
+    if count is None or not draw(st.integers(min_value=0, max_value=3)):
+        count = draw(st.integers(min_value=1, max_value=4))
+    exponents = draw(st.lists(st.integers(min_value=-3, max_value=130),
+                              min_size=count, max_size=count))
+    l = draw(st.sampled_from([0, 1, 9, 11, 13, 17, 19, 23, 29, 31, 43, "x", "7.5"])
+             | st.integers(min_value=-3, max_value=130))
+    return (["profile"] + (["--family", family] if family else [])
+            + [str(v) for v in exponents + [l]])
+
+
+@given(profile_argv())
+@settings(max_examples=150, deadline=None)
+def test_profile_exits_with_a_code_and_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = command_dispatch(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().count("error:") == 1, err.getvalue()
 
 
 @pytest.mark.parametrize("height", ["-5", "0"])

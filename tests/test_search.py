@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from gfekit.arith import factor, integer_nth_root
-from gfekit.campaign import build_p3_plan
+import gfekit.search
+from gfekit.arith import factor, integer_nth_root, is_perfect_square
+from gfekit.campaign import _P1_WINDOW, build_p3_plan
 from gfekit.search import (
     SolutionRecord,
     _power_residues,
@@ -174,12 +175,12 @@ def test_record_rejects_corruption():
 def test_check_power_tail():
     # 71^2 - 17^3 = 2^7 is outside the window; use a synthetic hit instead:
     # y = 1: |1 +- 2^m| is an x^r only for trivial x, which is filtered.
-    recs = check_power_tail([1], 5, {4}, range(70, 75))
+    recs = check_power_tail([1], 5, {4}, range(70, 75), m_bounds=_P1_WINDOW)
     assert recs == []
     with pytest.raises(ValueError):
-        check_power_tail([1], 5, {4}, range(10, 12))
+        check_power_tail([1], 5, {4}, range(10, 12), m_bounds=_P1_WINDOW)
     # even y is rejected by coprimality
-    assert check_power_tail([2], 5, {4}, range(70, 75)) == []
+    assert check_power_tail([2], 5, {4}, range(70, 75), m_bounds=_P1_WINDOW) == []
 
 
 def test_check_power_tail_finds_planted_power():
@@ -187,7 +188,8 @@ def test_check_power_tail_finds_planted_power():
     # choose y with y^3 = 2^72 - x^4 impossible; instead verify the generic
     # contract on a constructed identity: x^4 = 2^76 + 81 has no root, so
     # the scan over a box stays empty and every emitted record verifies.
-    recs = check_power_tail(range(1, 40, 2), 3, {2, 4, 5}, range(70, 80))
+    recs = check_power_tail(range(1, 40, 2), 3, {2, 4, 5}, range(70, 80),
+                            m_bounds=_P1_WINDOW)
     for rec in recs:
         assert rec.verify()
         assert rec.z == 2 ** (rec.z.bit_length() - 1)  # z is a 2-power
@@ -225,7 +227,7 @@ def test_check_pair_rejects_nonpositive_candidates(xs, ys):
 @pytest.mark.parametrize("ys", [[0], [3, -1]])
 def test_check_power_tail_rejects_nonpositive_candidates(ys):
     with pytest.raises(ValueError):
-        check_power_tail(ys, 5, {4}, range(70, 75))
+        check_power_tail(ys, 5, {4}, range(70, 75), m_bounds=_P1_WINDOW)
 
 
 @pytest.mark.parametrize("m_bounds, m_range", [((0, 3), range(0, 4)),
@@ -240,7 +242,7 @@ def test_root_exponents_below_two_are_rejected():
     with pytest.raises(ValueError):
         check_pair([2], 2, [3], 3, {1, 2})
     with pytest.raises(ValueError):
-        check_power_tail([3], 3, {0}, range(70, 71))
+        check_power_tail([3], 3, {0}, range(70, 71), m_bounds=_P1_WINDOW)
 
 
 # Candidates with prime factors >= 1000, which only the gcd fallback of the
@@ -470,6 +472,16 @@ def test_small_z1_scan_equals_brute_force(box):
            for r in small_z1_scan(**box)}
     assert got == expected
     assert expected  # the box has solutions to lose
+
+
+def test_small_z1_scan_default_box_square_test_count(monkeypatch):
+    # The y-sieve leaves 33,716 values of the default box to the exact square
+    # test; a weaker sieve would send more.
+    asked = []
+    monkeypatch.setattr(gfekit.search, "is_perfect_square",
+                        lambda n: asked.append(n) or is_perfect_square(n))
+    assert len(small_z1_scan()) == 5
+    assert len(asked) == 33716
 
 
 @given(st.integers(min_value=0, max_value=10**9),
