@@ -460,7 +460,7 @@ def scenario(
             raise ConfigError("the (2,3,t) family needs t >= 11")
         if any(l < 11 or l == 13 for l in s_primes):
             raise ConfigError("the (2,3,t) family needs l >= 11, l != 13")
-        base_u0 = (u0 or 11) if family_case == "twothree-u0" else t
+        base_u0 = (11 if u0 is None else u0) if family_case == "twothree-u0" else t
         if not 11 <= base_u0 <= t:
             raise ConfigError(f"need 11 <= u0 <= t, got u0={base_u0}")
         n1_s = p0 * t if family_case == "twothree-t" else base_u0
@@ -472,7 +472,7 @@ def scenario(
             raise ConfigError("the cube family needs r >= 4, s >= 7")
         if any(l < 11 or l == 13 for l in s_primes):
             raise ConfigError("the cube family needs l >= 11, l != 13")
-        base_u0 = u0 or 7
+        base_u0 = 7 if u0 is None else u0
         if not 7 <= base_u0 <= min(3 * r, s):
             raise ConfigError(f"need 7 <= u0 <= min(3r, s), got u0={base_u0}")
         n1_s, u0p = p0, min(3 * r, s)

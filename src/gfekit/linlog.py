@@ -3,8 +3,14 @@
 Everything the bound engine compares is a rational combination of logarithms
 of primes. Such a combination is zero only when every coefficient is zero
 (linear independence of prime logs over Q), so the sign of a nonzero
-combination is always decidable: rationally when log-free, otherwise by
-outward-rounded interval evaluation at doubling precision.
+combination is always decidable: rationally when log-free, otherwise from an
+exact rational enclosure at doubling precision k (128 to 1024 bits).
+
+The enclosure is integer fixed point. `_log_fixed(p, k)` caches integers
+L- <= 2^k log(p) <= L+ (at most 2 apart, from directed-rounding `mpf_log`),
+and with D the common denominator of the coefficients, D * 2^k * x lies
+between two integer sums of the numerators times those bounds. No interval
+context is made and no logarithm is taken per call.
 """
 
 from __future__ import annotations
@@ -15,9 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Union
 
-import mpmath
-from mpmath import ctx_iv
-from mpmath.libmp import to_int
+from mpmath.libmp import (from_int, from_rational, mpf_exp, mpf_log, mpf_shift,
+                          round_ceiling, round_floor, round_nearest, to_float, to_int)
 
 from .errors import PrecisionExhausted
 
@@ -101,14 +106,25 @@ class LinLog:
             raise ValueError("not a log-free quantity")
         return self.const
 
-    def interval(self, prec: int = DEFAULT_PRECISION):
-        """Outward-rounded enclosure as an mpmath interval."""
-        ctx = ctx_iv.MPIntervalContext()
-        ctx.prec = prec
-        acc = _iv_fraction(ctx, self.const)
+    def interval(self, prec: int = DEFAULT_PRECISION) -> tuple[Fraction, Fraction]:
+        """Exact rationals lo <= self <= hi, each an integer over D * 2^prec.
+
+        D is the common denominator of the constant and the coefficients;
+        hi - lo is at most 2 * sum(|qi|) / 2^prec.
+        """
+        den = self.const.denominator
+        for _, c in self.logs:
+            den = math.lcm(den, c.denominator)
+        lo = hi = (self.const.numerator * (den // self.const.denominator)) << prec
         for p, c in self.logs:
-            acc += _iv_fraction(ctx, c) * ctx.log(p)
-        return acc
+            a = c.numerator * (den // c.denominator)
+            below, above = _log_fixed(p, prec)
+            if a > 0:
+                lo, hi = lo + a * below, hi + a * above
+            else:
+                lo, hi = lo + a * above, hi + a * below
+        den <<= prec
+        return Fraction(lo, den), Fraction(hi, den)
 
     def sign(self) -> int:
         """Certified sign (-1, 0, +1); 0 only for the exact zero combination."""
@@ -120,10 +136,10 @@ class LinLog:
         """(sign, bits used) of a combination with logs."""
 
         def decide(prec: int) -> int | None:
-            enc = self.interval(prec)
-            if enc.a > 0:
+            lo, hi = self.interval(prec)
+            if lo > 0:
                 return 1
-            if enc.b < 0:
+            if hi < 0:
                 return -1
             return None
 
@@ -151,9 +167,10 @@ class LinLog:
         """floor(e^self), which is 0 when self < 0, capped at at_most.
 
         Exact when e^self is rational (no constant, integer coefficients);
-        otherwise both ends of the outward-rounded exp(interval) must have
-        the same floor. A cap is decided first by one comparison, so a huge
-        quantity under a small cap never climbs the precision ladder.
+        otherwise e^lo rounded down and e^hi rounded up, for the ends lo and
+        hi of `interval`, must have the same floor. A cap is decided first
+        by one comparison, so a huge quantity under a small cap never climbs
+        the precision ladder.
         """
         if at_most is not None and (at_most < 1 or log_of_int(at_most) <= self):
             return at_most
@@ -161,18 +178,23 @@ class LinLog:
             return math.floor(math.prod(Fraction(p) ** int(c) for p, c in self.logs))
 
         def decide(prec: int) -> int | None:
-            enc = self.interval(prec)
-            lo, hi = enc.ctx.exp(enc)._mpi_
-            floor = to_int(lo, "f")
-            return floor if floor == to_int(hi, "f") else None
+            lo, hi = self.interval(prec)
+            if hi < 0:
+                return 0
+            # With hi >= 0 the floors differ when e^hi / e^lo >= e, or when
+            # e^hi > 2^prec puts the two rounded ends an ulp >= 1 apart.
+            if hi - lo >= 1 or hi >= prec:
+                return None
+            floor = to_int(_exp_rounded(lo, prec, round_floor), "f")
+            return floor if floor == to_int(_exp_rounded(hi, prec, round_ceiling), "f") else None
 
         return _certify(self, decide)[0]
 
     def __float__(self) -> float:
         acc = float(self.const)
         for p, c in self.logs:
-            acc += float(c) * mpmath.log(p)
-        return float(acc)
+            acc += float(c) * _float_log(p)
+        return acc
 
     def __repr__(self) -> str:
         parts = [str(self.const)] if self.const or not self.logs else []
@@ -202,8 +224,28 @@ def _certify(x: LinLog, decide: Callable[[int], int | None]) -> tuple[int, int]:
         f"certified evaluation of {x} undecided at {MAX_PRECISION} bits")
 
 
-def _iv_fraction(ctx, q: Fraction):
-    return ctx.mpf(q.numerator) / ctx.mpf(q.denominator)
+@lru_cache(maxsize=None)
+def _log_fixed(p: int, k: int) -> tuple[int, int]:
+    """Integers lo <= 2^k log(p) <= hi with hi - lo <= 2, for p >= 2.
+
+    log(p) is rounded down and up at k bits after the point plus 4 guard
+    bits, so each end is within 1 + 2^-4 of 2^k log(p).
+    """
+    prec = k + p.bit_length().bit_length() + 4  # log(p) < bit_length(p)
+    lo, hi = (mpf_shift(mpf_log(from_int(p), prec, rnd), k)
+              for rnd in (round_floor, round_ceiling))
+    return to_int(lo, "f"), to_int(hi, "c")
+
+
+@lru_cache(maxsize=None)
+def _float_log(p: int) -> float:
+    """log(p) rounded to the nearest double."""
+    return to_float(mpf_log(from_int(p), 53, round_nearest))
+
+
+def _exp_rounded(q: Fraction, prec: int, rnd: str):
+    """e^q at prec bits, rounded in direction rnd (floor or ceiling)."""
+    return mpf_exp(from_rational(q.numerator, q.denominator, prec, rnd), prec, rnd)
 
 
 def log_atom(p: int, coeff: Rat = 1) -> LinLog:

@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import settings
 
@@ -24,6 +25,41 @@ def _log_fact(n: FactoredInteger) -> LinLog:
     for p, e in n.items():
         out = out + log_atom(p, e)
     return out
+
+
+def exact_fraction(x) -> Fraction:
+    """The exact rational value of a raw mpmath mpf tuple."""
+    sign, man, exp, _ = x
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def log_ratio_convergents(p: int, q: int):
+    """The continued-fraction convergents (a, b) of log(p)/log(q), in order.
+
+    a log(q) - b log(p) is within about log(q)/b of zero. They come from a
+    4000-bit value of the ratio, so they are exact while b < 2^1900.
+    """
+    with mpmath.workprec(4000):
+        x = exact_fraction((mpmath.log(p) / mpmath.log(q))._mpf_)
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    while True:
+        a = x.numerator // x.denominator
+        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+        yield h1, k1
+        x = 1 / (x - a)
+
+
+def count_interval_calls(monkeypatch) -> list[int]:
+    """A one-item list counting LinLog.interval calls from now on."""
+    calls = [0]
+    interval = LinLog.interval
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return interval(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinLog, "interval", counted)
+    return calls
 
 
 def synthetic_config(rng: random.Random) -> BoundConfig:

@@ -4,7 +4,6 @@ import json
 import random
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 from gfekit.arith import FactoredInteger
@@ -28,7 +27,7 @@ from gfekit.linlog import (
 )
 from gfekit.freycurves import FreyFamily
 from gfekit.ramification import VolNotConfigured, VolTable, dataset
-from tests.conftest import synthetic_config
+from tests.conftest import log_ratio_convergents, synthetic_config
 
 
 def test_default_profile_values():
@@ -220,19 +219,6 @@ def test_forbidden_interval_with_synthetic_vols():
         assert lo < hi
 
 
-def _log2_3_convergent_over(bound: int) -> tuple[int, int]:
-    """(p, q): the first convergent p/q of log2(3) with q > bound."""
-    with mpmath.workprec(4000):
-        x = mpmath.log(3) / mpmath.log(2)
-        x = Fraction(int(x.man)) * Fraction(2) ** int(x.exp)
-    h0, h1, k0, k1 = 0, 1, 1, 0
-    while k1 <= bound:
-        a = x.numerator // x.denominator
-        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
-        x = 1 / (x - a)
-    return h1, k1
-
-
 def test_certificate_propagates_precision_exhaustion():
     table = VolTable()
     for l in (11, 13):
@@ -243,7 +229,7 @@ def test_certificate_propagates_precision_exhaustion():
     def ends(bound):
         # |q log 3 - p log 2| is below 1/q, so signing it needs about
         # 2 log2(q) bits.
-        p, q = _log2_3_convergent_over(bound)
+        p, q = next(c for c in log_ratio_convergents(3, 2) if c[1] > bound)
         tight = log_atom(3, q) - log_atom(2, p)
         return EliminationResult(True, "unprimed", (tight, LinLog.of(10)), {})
 

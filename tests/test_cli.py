@@ -167,6 +167,18 @@ def test_bounds_choices_are_the_case_table():
     assert list(scenario_arg.choices) == list(_CASES)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("threers", "7", "11", "--set", "17", "19"), "need 7 <= u0 <= min(3r, s), got u0="),
+    (("twothree-u0", "23", "--set", "11", "17"), "need 11 <= u0 <= t, got u0="),
+])
+@pytest.mark.parametrize("u0", ["0", "3"])
+def test_bounds_u0_below_the_range_is_rejected(capsys, argv, message, u0):
+    # u0 = 0 is a value like any other, not the family default.
+    code, out, err = run(capsys, "bounds", *argv, "--u0", u0)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}{u0}\n"
+
+
 def test_scan_small_z1_tiny(capsys):
     code, out, _ = run(capsys, "scan-small-z1", "--z1-bound", "2",
                        "--t-max", "9", "--height", "1000")

@@ -1,14 +1,24 @@
 import ast
+import itertools
+import math
+import random
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.ctx_iv import MPIntervalContext
 
 import gfekit
+from gfekit import linlog
 from gfekit.arith import small_primes
 from gfekit.linlog import LinLog, PrecisionExhausted, log_atom, log_bounds, log_of_int
+from tests.conftest import count_interval_calls, exact_fraction, log_ratio_convergents
+
+LADDER = (128, 256, 512, 1024)
+PRIMES_BELOW_10K = small_primes(10**4)
 
 
 def test_exact_zero_combination():
@@ -73,12 +83,8 @@ def test_floor_exp_brackets_the_exponential(x):
         assert m == 0
     elif m < 10**12:
         assert log_of_int(m) <= x < log_of_int(m + 1)
-    else:  # too large to factor quickly: compare with a 2000-bit evaluation
-        with mpmath.workprec(2000):
-            value = mpmath.mpf(x.const.numerator) / x.const.denominator
-            for p, c in x.logs:
-                value += mpmath.mpf(c.numerator) / c.denominator * mpmath.log(p)
-            assert m == int(mpmath.floor(mpmath.exp(value)))
+    else:  # too large to factor quickly: compare with a 4000-bit evaluation
+        assert m == _oracle_floor_exp(x)
 
 
 def test_floor_exp_exact_and_capped():
@@ -94,6 +100,129 @@ def test_log_bounds_bracket_prime_logs():
     for p in small_primes()[:100]:
         lo, hi = log_bounds(p)
         assert LinLog.of(lo) < log_atom(p) < LinLog.of(hi)
+
+
+def test_log_fixed_encloses_every_prime_log_below_10k():
+    # Oracle: mpmath's interval log at k + 64 bits, scaled by 2^k.
+    sample = random.Random(20261020).sample(PRIMES_BELOW_10K, 120)
+    for k in LADDER:
+        iv = MPIntervalContext()
+        iv.prec = k + 64
+        for p in PRIMES_BELOW_10K if k in (128, 1024) else sample:
+            below, above = linlog._log_fixed(p, k)
+            lo, hi = (exact_fraction(end) * 2**k for end in iv.log(p)._mpi_)
+            assert below <= lo and hi <= above and above - below <= 2, (p, k)
+
+
+def test_enclosures_do_not_depend_on_earlier_precisions():
+    x = log_atom(9973, Fraction(-7, 3)) + log_atom(2, 11) + Fraction(1, 5)
+    primes = (2, 3, 9973)
+    for order in (LADDER, LADDER[::-1]):
+        linlog._log_fixed.cache_clear()
+        seen = {k: ([linlog._log_fixed(p, k) for p in primes], x.interval(k)) for k in order}
+        for k in LADDER:
+            linlog._log_fixed.cache_clear()
+            assert seen[k] == ([linlog._log_fixed(p, k) for p in primes], x.interval(k)), k
+
+
+# a log(q) - b log(p) for the convergents a/b of log(p)/log(q) up to
+# b = 2^300, where the 1024-bit rung still decides the sign.
+_NEAR_CANCELLING = [log_atom(q, a) - log_atom(p, b)
+                    for p, q in ((3, 2), (5, 3), (7, 2), (11, 7))
+                    for a, b in itertools.takewhile(lambda c: c[1] <= 2**300,
+                                                    log_ratio_convergents(p, q))]
+near_cancelling = st.builds(LinLog.scale, st.sampled_from(_NEAR_CANCELLING),
+                            st.sampled_from((1, -1)))
+generic = st.builds(
+    lambda const, coeffs: LinLog.build(const, dict(zip((2, 3, 5, 7, 9973), coeffs))),
+    small_fracs, st.lists(small_fracs, min_size=1, max_size=5),
+)
+
+
+@lru_cache(maxsize=None)
+def _log4000(p: int):
+    with mpmath.workprec(4000):
+        return mpmath.log(p)
+
+
+def _oracle(x: LinLog):
+    """x at 4000 bits."""
+    with mpmath.workprec(4000):
+        value = mpmath.mpf(x.const.numerator) / x.const.denominator
+        for p, c in x.logs:
+            value += mpmath.mpf(c.numerator) / c.denominator * _log4000(p)
+        return value
+
+
+def _oracle_floor_exp(x: LinLog) -> int:
+    """floor(e^x) from exact rationals when e^x is rational, else at 4000 bits."""
+    if x.const == 0 and all(c.denominator == 1 for _, c in x.logs):
+        return math.floor(math.prod(Fraction(p) ** int(c) for p, c in x.logs))
+    with mpmath.workprec(4000):
+        return int(mpmath.floor(mpmath.exp(_oracle(x))))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(near_cancelling, generic), st.integers(1, 30))
+def test_sign_and_floor_exp_equal_a_4000_bit_oracle(x, m):
+    # e^(x/2) * m sits near the integer m when x nearly cancels; the half
+    # coefficients keep floor_exp off its exact path, which would expand
+    # q^a / p^b with a and b up to 2^300.
+    y = x / 2 + log_of_int(m)
+    assert y.floor_exp() == _oracle_floor_exp(y)
+    for z in (x, y):
+        value = _oracle(z)
+        assert z.sign() == (value > 0) - (value < 0)
+        assert z.precision_used() in (LADDER if z.logs else (0,))
+        width = 2 * sum(abs(c) for _, c in z.logs)
+        for k in LADDER:
+            lo, hi = z.interval(k)
+            assert (hi - lo) * 2**k <= width
+            if z.logs:  # far from lo and hi next to the oracle's 2^-4000 error
+                assert lo <= exact_fraction(value._mpf_) <= hi
+            else:
+                assert lo == hi == z.const
+
+
+def test_floor_exp_climbs_past_a_wide_enclosure():
+    # At 128 bits the enclosure of y is about 2^124 wide; e^hi must not be
+    # expanded to an integer on the way up the ladder.
+    a, b = next(c for c in log_ratio_convergents(3, 2) if c[1] > 2**250)
+    y = (log_atom(2, a) - log_atom(3, b)) / 2
+    assert y < 0 and y.precision_used() == 512
+    assert y.floor_exp() == 0 and (y + log_of_int(5)).floor_exp() == 4
+
+
+def test_near_cancelling_draws_reach_every_rung():
+    assert {x.precision_used() for x in _NEAR_CANCELLING} == set(LADDER)
+
+
+def test_sign_makes_one_interval_call_per_rung(monkeypatch):
+    # The benchmark's linlog.escalation_ratio counts these calls under sign.
+    a, b = next(c for c in log_ratio_convergents(3, 2) if c[1] > 10**50)
+    tight = log_atom(2, a) - log_atom(3, b)  # signed at 512 bits
+    calls = count_interval_calls(monkeypatch)
+    for x, rungs in ((log_atom(2) - 1, 1), (tight, 3)):
+        before = calls[0]
+        assert x.sign() != 0
+        assert calls[0] - before == rungs
+    assert tight.precision_used() == 512
+
+
+def test_float_matches_the_53_bit_mpmath_sum():
+    rng = random.Random(20261020)
+
+    def coeff():
+        return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+
+    primes = PRIMES_BELOW_10K
+    for i in range(0, len(primes), 3):
+        x = LinLog.build(coeff(), {p: coeff() for p in primes[i:i + 3]})
+        with mpmath.workprec(53):
+            old = float(x.const)
+            for p, c in x.logs:
+                old += float(c) * mpmath.log(p)
+        assert float(x).hex() == float(old).hex(), x
 
 
 def test_package_has_no_assert_statements():

@@ -23,6 +23,7 @@ from gfekit.structure import (
     twothree_admissible_t,
     xl_candidates,
 )
+from tests.conftest import count_interval_calls
 
 # The published l-part classification for the general family.
 PUBLISHED_XL = {
@@ -111,18 +112,6 @@ def test_screened_collapse_predicates_equal_the_certified_comparison():
         assert structure._below_log(q, 5) == (LinLog.of(q) < log_atom(5)), r
 
 
-def _count_intervals(monkeypatch):
-    calls = [0]
-    interval = LinLog.interval
-
-    def counted(self, *args, **kwargs):
-        calls[0] += 1
-        return interval(self, *args, **kwargs)
-
-    monkeypatch.setattr(LinLog, "interval", counted)
-    return calls
-
-
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_below_log_screens_outside_the_window_and_falls_back_inside(p, monkeypatch):
     lo, hi = log_bounds(p)
@@ -130,7 +119,7 @@ def test_below_log_screens_outside_the_window_and_falls_back_inside(p, monkeypat
     assert lo < near < hi
     with mpmath.workprec(256):  # an oracle independent of linlog
         near_below = mpmath.mpf(near.numerator) / near.denominator < mpmath.log(p)
-    calls = _count_intervals(monkeypatch)
+    calls = count_interval_calls(monkeypatch)
     assert structure._below_log(lo - Fraction(1, 10**12), p)
     assert not structure._below_log(hi + Fraction(1, 10**12), p)
     assert calls[0] == 0  # decided by the cached rationals alone
@@ -145,7 +134,7 @@ def test_collapse_thresholds_need_almost_no_interval_evaluations(monkeypatch):
     # comparisons are counted (612 and 531 before the rational screen).
     threers_v3_sieve(), threers_rl_product_cap(), threers_v2_product_cap()
     log_bounds(3), log_bounds(5)
-    calls = _count_intervals(monkeypatch)
+    calls = count_interval_calls(monkeypatch)
     assert general_x1_collapse_threshold.__wrapped__() == 69
     assert calls[0] <= 10
     calls[0] = 0
