@@ -87,6 +87,19 @@ def test_floor_exp_brackets_the_exponential(x):
         assert m == _oracle_floor_exp(x)
 
 
+def test_floor_exp_of_large_exact_integers():
+    # Every e^x = 2^a 3^b 5^c 7^d >= 10^12 with exponents <= 6: the ties
+    # the oracle confirms by identity, and just below each of them.
+    for exponents in itertools.product(range(7), repeat=4):
+        x = _small_linlog(0, exponents)
+        n = math.prod(p**e for p, e in zip((2, 3, 5, 7), exponents))
+        if n < 10**12:
+            continue
+        assert x.floor_exp() == _oracle_floor_exp(x) == n, exponents
+        below = x - Fraction(1, 10**30)
+        assert below.floor_exp() == _oracle_floor_exp(below) == n - 1, exponents
+
+
 def test_floor_exp_exact_and_capped():
     assert log_of_int(35).floor_exp() == 35
     assert (log_of_int(35) - log_of_int(4)).floor_exp() == 8
@@ -155,11 +168,24 @@ def _oracle(x: LinLog):
 
 
 def _oracle_floor_exp(x: LinLog) -> int:
-    """floor(e^x) from exact rationals when e^x is rational, else at 4000 bits."""
-    if x.const == 0 and all(c.denominator == 1 for _, c in x.logs):
-        return math.floor(math.prod(Fraction(p) ** int(c) for p, c in x.logs))
+    """floor(e^x) from e^x at 4000 bits.
+
+    Within 2^-3000 of an integer n the evaluation cannot tell the side (of
+    the 42 integers 2^a 3^b 5^c 7^d >= 10^12 with exponents <= 6, 15 read
+    one low at 2000 bits and 16 at 4000), so there e^x = n is confirmed
+    instead by the integer identity n^D * prod p^(-Dc) = prod p^(Dc) over
+    the negative and positive coefficients c, D their common denominator.
+    """
     with mpmath.workprec(4000):
-        return int(mpmath.floor(mpmath.exp(_oracle(x))))
+        value = mpmath.exp(_oracle(x))
+        n = int(mpmath.nint(value))
+        if abs(value - n) > value * mpmath.mpf(2) ** -3000:
+            return int(mpmath.floor(value))
+    d = math.lcm(*(c.denominator for _, c in x.logs))
+    above = math.prod(p ** int(d * c) for p, c in x.logs if c > 0)
+    below = math.prod(p ** int(-d * c) for p, c in x.logs if c < 0)
+    assert x.const == 0 and n**d * below == above, ("undecided tie", x, n)
+    return n
 
 
 @settings(max_examples=120, deadline=None)
