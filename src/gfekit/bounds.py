@@ -446,6 +446,12 @@ def scenario(
         raise ConfigError(f"unknown family case {family_case!r}")
     case = _CASES[family_case]
     p0, nk_s = s_primes[0], case.m * math.prod(s_primes[:k])
+    if q is not None and family_case != "twothree-q":
+        raise ConfigError(f"{family_case} does not use q; only twothree-q does")
+    if u0 is not None and family_case in ("general-2tor", "twothree-t", "twothree-q"):
+        raise ConfigError(f"{family_case} does not use u0")
+    if u0 is not None and family_case == "general" and situation != "a":
+        raise ConfigError("general uses u0 only in situation a")
 
     if case.family == "GENERAL_ABC":
         r, s, t = exponents
@@ -453,7 +459,9 @@ def scenario(
             raise ConfigError("general family needs r,s,t >= 4")
         if any(l < 11 for l in s_primes):
             raise ConfigError("general family needs l >= 11 for every l in S")
-        base_u0, n1_s, u0p = 8, case.m * p0, u0 or 8
+        base_u0, n1_s, u0p = 8, case.m * p0, 8 if u0 is None else u0
+        if u0p < 1:  # b1' divides a1 by u0'
+            raise ConfigError(f"need u0 >= 1, got u0={u0p}")
     elif case.family == "TWO_THREE":
         (t,) = exponents
         if t < 11:

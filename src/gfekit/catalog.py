@@ -29,12 +29,20 @@ closure, the family members whose n is a multiple of a modulus;
 ``notes`` the rule notes that discrepancy reports quote. load_registry
 raises ValueError on a missing section or key and on any other kind.
 
+Each registry is compiled once into an index: every rule and family is
+filed under the exponents it fixes (a fixed-pair rule or pair family under
+its sorted pair, an aan rule under its fixed exponent, the 3mn and 2mn
+families under 3 and 2, an nnn rule under none, an exact triple under
+itself), with its registry order. A signature tests only the entries filed
+under its eight (fixed part, rest) splits, and the lowest order wins, so
+the first matching rule in registry order names the citation the ledgers
+print. Divisor lists come from one sieve up to the largest bounded exponent.
+
 Every reader takes the registry path (None: the shipped file), and every
 cache is keyed on it, so calls against different registries share nothing.
-Each registry file is read once per process, and each closure's ledger and
-the two rule matchers that both closures and status() share are computed
-once per registry: count_remaining builds a fresh CountResult from the
-cached closure on every call.
+Each registry is read and compiled once per process, and each signature's
+match and chain and each closure's ledger are computed once per registry:
+count_remaining builds a fresh CountResult from the cached closure.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import product
 
 from .arith import divisors, is_prime
 from .search import SolutionRecord
@@ -200,70 +209,79 @@ def _registry(path: str | None) -> dict:
         return _checked(json.load(fh))
 
 
-def _without(canon: tuple[int, int, int], entries: list[int]) -> list[int] | None:
-    """canon minus one copy of each entry (sorted), or None if one is missing."""
-    rest = list(canon)
-    for e in entries:
-        if e not in rest:
-            return None
-        rest.remove(e)
-    return rest
+def _rule_tests(rule: dict) -> list[tuple[tuple[int, ...], object]]:
+    """(fixed part, test of the rest) for each shape a solved rule names."""
+    kind, lo = rule["kind"], rule.get("repeated_min" if rule["kind"] == "aan" else "n_min")
+    if kind == "exact":
+        return [(tuple(sorted(t)), lambda rest: True) for t in rule["triples"]]
+    if kind == "nnn":
+        return [((), lambda rest: rest[0] == rest[2] >= lo)]
+    if kind == "aan":
+        return [((rule["fixed"],), lambda rest: rest[0] == rest[1] >= lo)]
+    pair, values = tuple(sorted(rule["pair"])), rule.get("n_values")
+    if kind == "fixed-pair-set":
+        return [(pair, lambda rest: rest[0] in values)]
+    prime = kind == "fixed-pair-prime-min"
+    return [(pair, lambda rest: rest[0] >= lo and (not prime or is_prime(rest[0])))]
 
 
-@lru_cache(maxsize=None)
-def _base_rule_match(canon: tuple[int, int, int], registry_path: str | None
-                     ) -> str | None:
-    for rule in load_registry(registry_path)["solved_rules"]:
-        kind = rule["kind"]
-        if kind == "nnn":
-            hit = canon[0] == canon[2] and canon[0] >= rule["n_min"]
-        elif kind == "aan":
-            rest = _without(canon, [rule["fixed"]])
-            hit = rest is not None and rest[0] == rest[1] >= rule["repeated_min"]
-        elif kind in ("fixed-pair-set", "fixed-pair-min", "fixed-pair-prime-min"):
-            rest = _without(canon, rule["pair"])
-            if rest is None:
-                continue
-            n = rest[0]
-            if kind == "fixed-pair-set":
-                hit = n in rule["n_values"]
-            else:
-                hit = n >= rule["n_min"] and (kind == "fixed-pair-min" or is_prime(n))
-        else:  # exact
-            hit = list(canon) in [sorted(t) for t in rule["triples"]]
-        if hit:
-            return rule["citation"]
-    return None
-
-
-def _family_reading(fam: dict, canon: tuple[int, int, int]
-                    ) -> tuple[tuple[int, ...], int] | None:
-    """(fixed pair, n) placing canon in the remaining family, else None."""
+def _family_test(fam: dict) -> tuple[tuple[int, ...], object]:
+    """(fixed part, reading of the rest) of a remaining family: the reading
+    is (fixed pair, n) when the rest places canon in the family, else None."""
     kind = fam.get("kind", "pair")
-    fixed = fam["pair"] if kind == "pair" else [3 if kind == "3mn" else 2]
-    rest = _without(canon, fixed)
-    if rest is None:
-        return None
     if kind == "pair":
-        n = rest[0]
-        inside = fam["n_min"] <= n <= fam["n_max"] or n in fam.get("n_extra", ())
-    else:
-        m, n = rest
-        fixed = [fixed[0], m]
-        if kind == "3mn":
-            inside = fam["m_min"] <= m <= fam["m_max"] and m < n <= fam["n_max"]
-        else:
-            inside = m >= fam["m_min"] and n >= fam["n_min"]
-    return (tuple(fixed), n) if inside else None
+        pair, lo, hi = tuple(fam["pair"]), fam["n_min"], fam["n_max"]
+        extra = fam.get("n_extra", ())
+        return tuple(sorted(pair)), lambda r: (
+            (pair, r[0]) if lo <= r[0] <= hi or r[0] in extra else None)
+    if kind == "3mn":
+        lo, hi, top = fam["m_min"], fam["m_max"], fam["n_max"]
+        return (3,), lambda r: (
+            ((3, r[0]), r[1]) if lo <= r[0] <= hi and r[0] < r[1] <= top else None)
+    lo, n_min = fam["m_min"], fam["n_min"]
+    return (2,), lambda r: ((2, r[0]), r[1]) if r[0] >= lo and r[1] >= n_min else None
 
 
 @lru_cache(maxsize=None)
-def _remaining_clause(canon: tuple[int, int, int], registry_path: str | None
-                      ) -> str | None:
-    for fam in load_registry(registry_path)["remaining_families"]:
-        if _family_reading(fam, canon) is not None:
-            return fam["clause"]
-    return None
+def _index(registry_path: str | None) -> tuple:
+    """The registry compiled once: (entries by fixed part, number of solved
+    rules, modulus exclusions by pair, n -> divisors of n above 1). Each
+    entry is (order, test, citation or clause): the solved rules take the
+    orders 0, 1, ... in registry order, the remaining families those after."""
+    reg = load_registry(registry_path)
+    entries: dict = {}
+    for order, rule in enumerate(reg["solved_rules"]):
+        for fixed, test in _rule_tests(rule):
+            entries.setdefault(fixed, []).append((order, test, rule["citation"]))
+    n_rules = len(reg["solved_rules"])
+    for order, fam in enumerate(reg["remaining_families"], n_rules):
+        fixed, test = _family_test(fam)
+        entries.setdefault(fixed, []).append((order, test, fam["clause"]))
+    limit = max([max([fam["n_max"], *fam.get("n_extra", ())])
+                 for fam in reg["remaining_families"] if "n_max" in fam] or [1])
+    divs: list = [[] for _ in range(limit + 1)]
+    for d in range(2, limit + 1):
+        for multiple in divs[d::d]:
+            multiple.append(d)
+    mods = {tuple(m["pair"]): m for m in reg["modulus_exclusions"]}
+    return entries, n_rules, mods, lambda n: divs[n] if n < len(divs) else divisors(n)[1:]
+
+
+@lru_cache(maxsize=None)
+def _match(canon: tuple[int, int, int], registry_path: str | None) -> tuple:
+    """(citation of the first solved rule that matches canon, or None;
+    ((fixed pair, n), clause) of each remaining family holding canon, in
+    registry order). Only the entries filed under one of canon's eight
+    (fixed, rest) splits are tested, whatever the registry's size."""
+    entries, n_rules = _index(registry_path)[:2]
+    a, b, c = canon
+    splits = {(): canon, (a,): (b, c), (b,): (a, c), (c,): (a, b),
+              (a, b): (c,), (a, c): (b,), (b, c): (a,), canon: ()}.items()
+    hits = [(order, value, payload) for fixed, rest in splits
+            for order, test, payload in entries.get(fixed, ()) if (value := test(rest))]
+    hits.sort()
+    cite = hits[0][2] if hits and hits[0][0] < n_rules else None
+    return cite, tuple((value, clause) for order, value, clause in hits if order >= n_rules)
 
 
 def _chi_of(canon: tuple[int, int, int]) -> ChiClass:
@@ -277,57 +295,46 @@ def _chi_of(canon: tuple[int, int, int]) -> ChiClass:
 
 @lru_cache(maxsize=None)
 def _solved(canon: tuple[int, int, int], registry_path: str | None) -> str | None:
-    """Citation chain if the signature is solved, else None.
-
-    Never called on spherical signatures (they have parametrized solution
-    families and prove nothing).
-    """
-    base = _base_rule_match(canon, registry_path)
+    """Citation chain if the signature is solved, else None; None for a
+    spherical one too, since its parametrized solution families prove
+    nothing. The reductions are every proper exponent-divisor reduction,
+    each once, in ascending divisor order: a's divisors vary slowest, c's
+    fastest, so (4,6,9) starts (2,2,3), (2,2,9), (2,3,3), (2,3,9); the
+    first solved one names the chain."""
+    if _chi_of(canon) is ChiClass.SPHERICAL:
+        return None
+    base, readings = _match(canon, registry_path)
     if base is not None:
         return base
-    if _remaining_clause(canon, registry_path) is None:
+    if not readings:
         return "complement of the remaining-signature list"
-    for reduced in _reductions(canon):
-        if _chi_of(reduced) is ChiClass.SPHERICAL:
-            continue
-        sub = _solved(reduced, registry_path)
-        if sub is not None:
-            return f"reduces to {reduced}: {sub}"
+    proper_divisors = _index(registry_path)[3]
+    seen = {canon}
+    for red in map(tuple, map(sorted, product(*map(proper_divisors, canon)))):
+        if red not in seen:
+            seen.add(red)
+            sub = _solved(red, registry_path)
+            if sub is not None:
+                return f"reduces to {red}: {sub}"
     return None
 
 
-def _reductions(canon: tuple[int, int, int]):
-    """All proper exponent-divisor reductions, each once, in ascending
-    divisor order: a's divisors vary slowest, c's fastest, so (4,6,9)
-    starts (2,2,3), (2,2,9), (2,3,3), (2,3,9)."""
-    a, b, c = canon
-    seen = set()
-    for da in divisors(a)[1:]:
-        for db in divisors(b)[1:]:
-            for dc in divisors(c)[1:]:
-                red = tuple(sorted((da, db, dc)))
-                if red != canon and red not in seen:
-                    seen.add(red)
-                    yield red
+_SPHERICAL = "spherical signature: parametrized solution families exist"
 
 
 def status(sig: Signature, registry_path: str | None = None) -> SignatureStatus:
     """Resolution state of a signature, permutation-invariant, under the
     registry at registry_path (None: the shipped one)."""
     canon = sig.canonical
-    chi = _chi_of(canon)
-    if chi is ChiClass.SPHERICAL:
-        return SignatureStatus(
-            State.OUT_OF_SCOPE,
-            "spherical signature: parametrized solution families exist",
-        )
+    if _chi_of(canon) is ChiClass.SPHERICAL:
+        return SignatureStatus(State.OUT_OF_SCOPE, _SPHERICAL)
     cited = _solved(canon, registry_path)
     if cited is not None:
         return SignatureStatus(State.SOLVED, cited)
-    clause = _remaining_clause(canon, registry_path)
-    if clause is None:
+    readings = _match(canon, registry_path)[1]
+    if not readings:
         raise AssertionError(f"unsolved signature outside every clause: {canon}")
-    return SignatureStatus(State.REMAINING, clause)
+    return SignatureStatus(State.REMAINING, readings[0][1])
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +372,8 @@ class CountResult:
             else count_remaining(self.mode, closure="published",
                                  registry_path=self.registry_path)
         pub_set = set(published.ledger)
-        delta = [
-            {"signature": list(c), "citation": e["citation"]}
-            for e in full.excluded
-            for c in [tuple(e["signature"])]
-            if c in pub_set
-        ]
+        delta = [{"signature": list(c), "citation": e["citation"]} for e in full.excluded
+                 for c in [tuple(e["signature"])] if c in pub_set]
         return {
             "mode": self.mode,
             "computed": self.count,
@@ -397,7 +400,8 @@ class CountResult:
         }
 
 
-def _in_range_candidates(floor: int, registry_path: str | None):
+@lru_cache(maxsize=None)
+def _in_range_candidates(floor: int, registry_path: str | None) -> tuple:
     """Every canonical signature inside a bounded remaining family."""
     out = set()
     for fam in load_registry(registry_path)["remaining_families"]:
@@ -411,14 +415,12 @@ def _in_range_candidates(floor: int, registry_path: str | None):
             ns = [*range(fam["n_min"], fam["n_max"] + 1), *fam.get("n_extra", ())]
             members = ((*fam["pair"], n) for n in ns)
         out.update(tuple(sorted(t)) for t in members if min(t) >= floor)
-    return sorted(out)
+    return tuple(sorted(out))
 
 
-def _full_exclusion(canon: tuple[int, int, int], registry_path: str | None
-                    ) -> str | None:
-    """Citation excluding canon under the full closure, via status()."""
-    st = status(Signature(*canon), registry_path)
-    return None if st.state is State.REMAINING else st.provenance
+def _full_exclusion(canon: tuple[int, int, int], registry_path: str | None) -> str | None:
+    """status()'s provenance for canon, or None when canon remains."""
+    return _SPHERICAL if _chi_of(canon) is ChiClass.SPHERICAL else _solved(canon, registry_path)
 
 
 def _published_exclusion(canon: tuple[int, int, int], registry_path: str | None
@@ -426,25 +428,22 @@ def _published_exclusion(canon: tuple[int, int, int], registry_path: str | None
     """The weaker published rule set: direct solved-family matches, the
     per-family modulus lists, and a one-step reduction of the family's
     varying exponent alone."""
-    direct = _base_rule_match(canon, registry_path)
+    direct, readings = _match(canon, registry_path)
     if direct is not None:
         return direct
-    reg = load_registry(registry_path)
-    readings = [r for fam in reg["remaining_families"]
-                for r in [_family_reading(fam, canon)] if r is not None]
-    mods = {tuple(m["pair"]): m for m in reg["modulus_exclusions"]}
-    for pair, n in readings:
+    mods, proper_divisors = _index(registry_path)[2:]
+    for (pair, n), _ in readings:
         rule = mods.get(pair)
         if rule and any(n % m == 0 for m in rule["moduli"]):
             return rule["citation"]
-        for d in divisors(n)[1:-1]:
+        for d in proper_divisors(n)[:-1]:
             red = tuple(sorted(pair + (d,)))
             if _chi_of(red) is ChiClass.SPHERICAL:
                 continue
-            base = _base_rule_match(red, registry_path)
+            base, red_readings = _match(red, registry_path)
             if base is not None:
                 return f"parameter reduces to {red}: {base}"
-            if _remaining_clause(red, registry_path) is None:
+            if not red_readings:
                 return f"parameter reduces to {red}: complement of the remaining list"
     return None
 

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain, starmap
 
 from . import __version__, errors
 
@@ -296,23 +297,57 @@ def _cmd_verify_known(args, cfg: dict) -> int:
     return 0
 
 
-def _indent1_json(obj, pad: str = "") -> str:
+def _indent1_json(obj, pad: str = "", done: dict | None = None) -> str:
     """json.dumps(obj, indent=1, sort_keys=True) for str-keyed dicts, built
     from C-encoded pieces: any indent sends json to its pure-Python encoder,
-    which is about twice as slow on the count ledger."""
+    which is about twice as slow on the count ledger. done maps the id of
+    each container already encoded to (its pad, its text), so a container
+    met twice (the ledger lists its exclusions twice) is only re-indented."""
+    if not (isinstance(obj, (dict, list, tuple)) and obj):
+        return json.dumps(obj)
+    done = {} if done is None else done
+    if id(obj) in done:
+        old_pad, text = done[id(obj)]
+        return text.replace("\n" + old_pad, "\n" + pad)
+    if isinstance(obj, dict):
+        keys = sorted(obj)
+        text = _template(keys, pad).format(*_encoded([obj[k] for k in keys], pad + " ", done))
+    else:
+        text = _template(len(obj), pad).format(*_encoded(obj, pad + " ", done))
+    done[id(obj)] = pad, text
+    return text
+
+
+def _template(shape, pad: str) -> str:
+    """The indent=1 text of a dict with the sorted keys shape, or of a list
+    of shape items, at pad, with a {} field for each value."""
     inner = pad + " "
-    sep = ",\n" + inner
-    if isinstance(obj, dict) and obj:
-        body = sep.join([json.encoder.encode_basestring_ascii(k) + ": "
-                         + _indent1_json(obj[k], inner) for k in sorted(obj)])
-        return "{\n" + inner + body + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)) and obj:
-        if all(type(v) is int for v in obj):
-            body = sep.join(map(int.__repr__, obj))
-        else:
-            body = sep.join([_indent1_json(v, inner) for v in obj])
-        return "[\n" + inner + body + "\n" + pad + "]"
-    return json.dumps(obj)
+    if isinstance(shape, int):
+        return "[\n" + inner + (",\n" + inner).join(["{}"] * shape) + "\n" + pad + "]"
+    fields = [json.encoder.encode_basestring_ascii(k).replace("{", "{{").replace("}", "}}")
+              + ": {}" for k in shape]
+    return "{{\n" + inner + (",\n" + inner).join(fields) + "\n" + pad + "}}"
+
+
+def _encoded(values, pad: str, done: dict) -> list[str]:
+    """_indent1_json(v, pad, done) of each of values. Values of one shape (all
+    ints, all strings, int lists of one length, or dicts with the same keys)
+    are encoded column by column through one template, so a long ledger
+    costs a few C calls per entry."""
+    types = set(map(type, values))
+    if types == {int}:
+        return list(map(int.__repr__, values))
+    if types == {str}:
+        return list(map(json.encoder.encode_basestring_ascii, values))
+    if types <= {list, tuple} and len(set(map(len, values))) == 1 \
+            and set(map(type, chain.from_iterable(values))) == {int}:
+        return list(starmap(_template(len(values[0]), pad).format, values))
+    keys = set(map(tuple, map(sorted, values))) if types == {dict} else ()
+    if len(keys) == 1 and values[0]:
+        keys = sorted(values[0])
+        columns = [_encoded([v[k] for v in values], pad + " ", done) for k in keys]
+        return list(starmap(_template(keys, pad).format, zip(*columns)))
+    return [_indent1_json(v, pad, done) for v in values]
 
 
 def _cmd_count(args, cfg: dict) -> int:

@@ -32,6 +32,10 @@ Rat = Union[int, Fraction]
 
 DEFAULT_PRECISION = 128
 MAX_PRECISION = 1024
+# floor_exp multiplies e^x out exactly only when sum(c * bit_length(p)), a
+# bound on its bits, is at most this: a million-bit product takes
+# milliseconds, and the enclosures decide every value below 2^MAX_PRECISION.
+_EXACT_EXP_BITS = 1 << 20
 
 
 def _as_fraction(x: Rat) -> Fraction:
@@ -166,16 +170,24 @@ class LinLog:
     def floor_exp(self, at_most: int | None = None) -> int:
         """floor(e^self), which is 0 when self < 0, capped at at_most.
 
-        Exact when e^self is rational (no constant, integer coefficients);
-        otherwise e^lo rounded down and e^hi rounded up, for the ends lo and
-        hi of `interval`, must have the same floor. A cap is decided first
-        by one comparison, so a huge quantity under a small cap never climbs
-        the precision ladder.
+        Exact when e^self is an integer of at most _EXACT_EXP_BITS bits (no
+        constant, coefficients nonnegative integers); otherwise e^lo rounded
+        down and e^hi rounded up, for the ends lo and hi of `interval`, must
+        have the same floor, and hi < 0 gives 0 at once. A cap is decided
+        first by one comparison, so a huge quantity under a small cap never
+        climbs the precision ladder.
         """
         if at_most is not None and (at_most < 1 or log_of_int(at_most) <= self):
             return at_most
-        if self.const == 0 and all(c.denominator == 1 for _, c in self.logs):
-            return math.floor(math.prod(Fraction(p) ** int(c) for p, c in self.logs))
+        if not self.const:
+            bits = 0  # bounds the bits of e^self, an integer if the loop ends
+            for p, c in self.logs:
+                if c.denominator != 1 or c.numerator < 0:
+                    break
+                bits += c.numerator * p.bit_length()
+            else:
+                if bits <= _EXACT_EXP_BITS:
+                    return math.prod([p**c.numerator for p, c in self.logs])
 
         def decide(prec: int) -> int | None:
             lo, hi = self.interval(prec)

@@ -298,38 +298,67 @@ def check_power_tail(
 # ---------------------------------------------------------------------------
 # Small-z scan for the (2,3,t) family.
 
-# Pairwise-coprime moduli of the y-prefilter in small_z1_scan, each with a
-# 0/1 table of its square residues and the cube of every residue.
-_Y_SIEVE_MODULI = (64, 63, 65, 11, 17, 19)
-_Y_SIEVE = tuple((m, _power_flags(2, m), tuple(i**3 % m for i in range(m)))
-                 for m in _Y_SIEVE_MODULI)
+# Pairwise-coprime moduli of the y-prefilter in small_z1_scan, in groups
+# whose products stay a few thousand: one bit pattern per group and range.
+_Y_SIEVE_GROUPS = ((64, 19), (63, 65), (11, 17))
+_Y_SQUARES = {m: _power_flags(2, m) for group in _Y_SIEVE_GROUPS for m in group}
+_NONZERO = bytes([0] + [1] * 255)  # translate table: 1 for each nonzero byte
 
 
-def _square_residue_ys(k: int, lo: int, hi: int, sign: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _cube_codes(m: int, sign: int, g: int) -> bytes:
+    """Byte r is (sign*r^3) mod m, or m, which no square table holds, when
+    gcd(r, g) > 1."""
+    return bytes(m if math.gcd(r, g) > 1 else sign * r**3 % m for r in range(m))
+
+
+def _square_residue_ys(k: int, lo: int, hi: int, sign: int,
+                       coprime_to: int = 1) -> list[int]:
     """The y in [lo, hi] for which (sign*y)^3 + k is a square residue modulo
-    every modulus in _Y_SIEVE_MODULI, ascending.
+    every modulus in _Y_SIEVE_GROUPS and no prime of such a modulus divides
+    both y and coprime_to, ascending.
 
-    This is necessary for (sign*y)^3 + k to be a square, so no y whose
-    value is a square is dropped. Per modulus the test depends on y mod m
-    only: one m-byte pattern, tiled over the range, and the tiles are ANDed
-    as integers, so the work per y runs in C.
+    The first test is necessary for (sign*y)^3 + k to be a square, so no y
+    whose value is a square is dropped. Both tests depend on y mod m only.
+    Per modulus, bytes.translate maps the cube code of each residue to its
+    flag, and the flags of one period of y, one bit each, are ANDed into
+    the pattern of the modulus's group. Each group's pattern is tiled over
+    the range, and the three tiles are ANDed as integers, one bit per y, so
+    the work per y runs in C.
     """
     n = hi - lo + 1
     if n <= 0:
         return []
-    mask = -1
-    for m, squares, cubes in _Y_SIEVE:
-        pattern = bytes(squares[(sign * cubes[(lo + j) % m] + k) % m]
-                        for j in range(m))
-        mask &= int.from_bytes((pattern * (n // m + 1))[:n], "big")
-    # Survivors are rare, so jump between them with find (memchr) rather than
-    # walk all n positions: the Python loop runs once per survivor.
-    flags = mask.to_bytes(n, "big")
+    width = (n + 7) // 8
+    mask = (1 << n) - 1 << 8 * width - n  # bit 8*width-1-j stands for y = lo+j
+    for group in _Y_SIEVE_GROUPS:
+        period = math.lcm(math.prod(group), 8) // 8  # bytes of the group's bits
+        pattern = -1
+        for m in group:
+            squares, shift = _Y_SQUARES[m], k % m
+            table = (squares[shift:] + squares[:shift]).ljust(256, b"\0")
+            flags = _cube_codes(m, sign, math.gcd(coprime_to, m)).translate(table)
+            start = lo % m
+            flags = (flags[start:] + flags[:start]) * (8 // math.gcd(m, 8))
+            bits = sum(int.from_bytes(flags[i::8], "big") << 7 - i for i in range(8))
+            bits = bits.to_bytes(len(flags) // 8, "big")
+            pattern &= int.from_bytes(bits * (period // len(bits)), "big")
+        pattern = pattern.to_bytes(period, "big")
+        mask &= int.from_bytes((pattern * (width // period + 1))[:width], "big")
+    # Survivors are rare, so jump between nonzero bytes with find (memchr)
+    # rather than walk all n positions: the Python loops run once per
+    # survivor.
+    data = mask.to_bytes(width, "big")
+    nonzero = data.translate(_NONZERO)
     out = []
-    j = flags.find(1)
+    j = nonzero.find(1)
     while j >= 0:
-        out.append(lo + j)
-        j = flags.find(1, j + 1)
+        byte, base = data[j], lo + 8 * j + 8
+        while byte:  # its set bits, the highest (the smallest y) first
+            top = byte.bit_length()
+            out.append(base - top)
+            byte ^= 1 << top - 1
+        j = nonzero.find(1, j + 1)
     return out
 
 
@@ -351,8 +380,9 @@ def small_z1_scan(
 
     Each branch x^2 = (+-y)^3 + k first builds a residue mask over its
     y-range: y survives only if (+-y)^3 + k is a square modulo each of
-    a few small coprime moduli, which every square is. Each survivor
-    coprime to z then gets the exact square test, and every record is
+    a few small coprime moduli, which every square is, and no prime of
+    those moduli divides both y and z. Each survivor coprime to z then
+    gets the exact square test, and every record is
     re-verified by exact integer arithmetic, so the mask drops no solution.
     A root x needs no further check: with gcd(y, z) = 1, a prime dividing
     x and y, or x and z, would divide the third term too, and x = 0 would
@@ -373,7 +403,9 @@ def small_z1_scan(
         # Each branch (k, lo, hi, sign, sx, sy) solves x^2 = (sign*y)^3 + k
         # for lo <= y <= hi and emits sx*x^2 + sy*y^3 = z^t.
         for k, lo, hi, sign, sx, sy in branches:
-            for y in _square_residue_ys(k, lo, hi, sign):
+            # The mask already drops each y that shares a prime of its
+            # moduli with z; gcd catches primes of z above 19.
+            for y in _square_residue_ys(k, lo, hi, sign, z):
                 if math.gcd(y, z) == 1:
                     x, exact = is_perfect_square(sign * y**3 + k)
                     if exact:

@@ -319,15 +319,19 @@ def _golden_tables() -> tuple[VolTable | None, ...]:
     return None, full, partial
 
 
-def _rejected_by_prime_or_option_checks(case, situation, variant, s_primes, q) -> bool:
+def _rejected_by_prime_or_option_checks(case, situation, variant, s_primes, u0, q) -> bool:
     """Inputs that the composite-S/q and ignored-option checks reject: S or q
-    composite, a situation other than a for a case without a primed block, or
-    a variant outside situation c. They stay out of the digests; the tests of
-    those checks cover them."""
+    composite, a situation other than a for a case without a primed block, a
+    variant outside situation c, q outside twothree-q, or u0 where the case
+    does not read it. They stay out of the digests; the tests of those checks
+    cover them."""
     composite = any(l in (15, 21, 25) for l in s_primes) or (case == "twothree-q" and q == 9)
     no_primed = case in ("general-2tor", "twothree-u0", "twothree-t", "twothree-q")
+    ignored_u0 = u0 is not None and (case in ("general-2tor", "twothree-t", "twothree-q")
+                                     or case == "general" and situation != "a")
     return composite or (no_primed and situation != "a") or (
-        variant is not None and situation != "c")
+        variant is not None and situation != "c") or (
+        q is not None and case != "twothree-q") or ignored_u0
 
 
 def _golden_digests() -> dict[str, str]:
@@ -339,7 +343,7 @@ def _golden_digests() -> dict[str, str]:
             h = hashlib.sha256()
             for e, (sit, var), s, u0, q, k, tab in itertools.product(
                     exps, _GOLDEN_SITUATIONS, sets, u0s, qs, (2, 3), range(3)):
-                if _rejected_by_prime_or_option_checks(case, sit, var, s, q):
+                if _rejected_by_prime_or_option_checks(case, sit, var, s, u0, q):
                     continue
                 try:
                     cfg = scenario(case, e, sit, s_primes=s, k=k, tables=tables[tab],
@@ -362,13 +366,13 @@ def _golden_digests() -> dict[str, str]:
 # Expected sha256 per family case: a moved digest means scenario now builds or
 # rejects some input of the grid differently.
 _GOLDEN_DIGESTS = {
-    "general": "06e7c4f5ff3416eda0d8b60be68f945cbeb4fd7d4c58cc3358b34ef12cd05328",
-    "general-2tor": "3142c3c19a00075d795fdd1e4762dab61e6fe94cea6d9b94fd74edd02bb1844f",
-    "twothree-u0": "143dda7ca46d7fe70f0502bd5e2fc3c6277c8b265068fb556125c9a1e7ae4fcb",
-    "twothree-t": "83dbcb9355fba091d02f7f799c7e524829ee8b2fd65cb2c1629e9547baa4a75f",
-    "twothree-q": "6f346d0cffd7e89fab7cb7c85eed7c2707d0af11b9aa790f17f86c9238909c26",
-    "threers": "073ba0a866ebcaa04784ebe604d2ce11caad3655af58143a117a826ffacf1c22",
-    "threers-2tor": "6a0ec69f72675864ce6c9b97461d36b618b2ad0aaa1df7ea1608c4c7b787abb8",
+    "general": "7d124e80b5f040ae5a94dc775c0d385dbb858ecd37bf450b53918456329ab3d3",
+    "general-2tor": "309fb95c16ea9d023abb669bba649632e597ac27af365987a6e2f063384bdb6b",
+    "twothree-u0": "e36e11a7bd9064275d87e837156a235015cd7172bfea05389db5593fc5168b7a",
+    "twothree-t": "56ca2220b718573eca7654f676d4285cf7396cb8c970a37a8383b94b9657922c",
+    "twothree-q": "503b221f655d0599ff42a743a8125f0051ac3ef912e4047c413d713a96f78797",
+    "threers": "2739fa92a42db3bf6b4ca1abbcf716851bb3999d24be47284b5218179902bf06",
+    "threers-2tor": "cfb4df4e77f7a5107ce0ebd17c7a0137a8197f66762767609b0bc5c483adba83",
     "cubic": "e2b5f53bfa83d161f721f451b282f0df78275eee06d1c3a2adcfbd9f338566c5",
 }
 
@@ -381,6 +385,6 @@ def test_scenario_rejects_the_inputs_left_out_of_the_digests():
     for cases, exps, sets, u0s, qs in _GOLDEN_FAMILIES.values():
         for case, e, (sit, var), s, u0, q, k in itertools.product(
                 cases, exps, _GOLDEN_SITUATIONS, sets, u0s, qs, (2, 3)):
-            if _rejected_by_prime_or_option_checks(case, sit, var, s, q):
+            if _rejected_by_prime_or_option_checks(case, sit, var, s, u0, q):
                 with pytest.raises(ValueError):
                     scenario(case, e, sit, s_primes=s, k=k, u0=u0, q=q, variant=var)

@@ -1,11 +1,14 @@
+import functools
 import hashlib
 import itertools
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gfekit import catalog
+from gfekit.arith import divisors, is_prime
 from gfekit.catalog import (
     CatalanFamily,
     ChiClass,
@@ -317,3 +320,168 @@ def test_general_window_303_and_301_give_the_same_ledgers(tmp_path):
         narrowed = count_remaining(mode, registry_path=str(path))
         assert (narrowed.count, narrowed.ledger) == (shipped.count, shipped.ledger)
         assert narrowed.ledger_hash == shipped.ledger_hash
+
+
+# ---------------------------------------------------------------------------
+# The compiled registry index against a plain loop over the rules.
+
+
+class _PlainRegistry:
+    """The registry read the way the index replaced: every rule and family
+    tried in registry order for every signature, with divisors from
+    arith.divisors. It shares no matcher with catalog."""
+
+    def __init__(self, reg: dict):
+        self.reg = reg
+        self.solved = functools.lru_cache(maxsize=None)(self._solved)
+
+    @staticmethod
+    def without(canon, entries):
+        rest = list(canon)
+        for e in entries:
+            if e not in rest:
+                return None
+            rest.remove(e)
+        return rest
+
+    def base(self, canon):
+        for rule in self.reg["solved_rules"]:
+            kind = rule["kind"]
+            if kind == "nnn":
+                hit = canon[0] == canon[2] and canon[0] >= rule["n_min"]
+            elif kind == "aan":
+                rest = self.without(canon, [rule["fixed"]])
+                hit = rest is not None and rest[0] == rest[1] >= rule["repeated_min"]
+            elif kind == "exact":
+                hit = list(canon) in [sorted(t) for t in rule["triples"]]
+            else:
+                rest = self.without(canon, rule["pair"])
+                if rest is None:
+                    continue
+                n = rest[0]
+                hit = (n in rule["n_values"] if kind == "fixed-pair-set" else
+                       n >= rule["n_min"] and (kind == "fixed-pair-min" or is_prime(n)))
+            if hit:
+                return rule["citation"]
+        return None
+
+    def readings(self, canon):
+        out = []
+        for fam in self.reg["remaining_families"]:
+            kind = fam.get("kind", "pair")
+            fixed = fam["pair"] if kind == "pair" else [3 if kind == "3mn" else 2]
+            rest = self.without(canon, fixed)
+            if rest is None:
+                continue
+            if kind == "pair":
+                n = rest[0]
+                inside = fam["n_min"] <= n <= fam["n_max"] or n in fam.get("n_extra", ())
+            else:
+                m, n = rest
+                fixed = [fixed[0], m]
+                inside = (fam["m_min"] <= m <= fam["m_max"] and m < n <= fam["n_max"]
+                          if kind == "3mn" else m >= fam["m_min"] and n >= fam["n_min"])
+            if inside:
+                out.append((tuple(fixed), n, fam["clause"]))
+        return out
+
+    def _solved(self, canon):
+        base = self.base(canon)
+        if base is not None:
+            return base
+        if not self.readings(canon):
+            return "complement of the remaining-signature list"
+        a, b, c = canon
+        seen = set()
+        for da in divisors(a)[1:]:
+            for db in divisors(b)[1:]:
+                for dc in divisors(c)[1:]:
+                    red = tuple(sorted((da, db, dc)))
+                    if red == canon or red in seen:
+                        continue
+                    seen.add(red)
+                    if classify_chi(Signature(*red)) is ChiClass.SPHERICAL:
+                        continue
+                    sub = self.solved(red)
+                    if sub is not None:
+                        return f"reduces to {red}: {sub}"
+        return None
+
+    def status(self, canon):
+        if classify_chi(Signature(*canon)) is ChiClass.SPHERICAL:
+            return (State.OUT_OF_SCOPE,
+                    "spherical signature: parametrized solution families exist")
+        cited = self.solved(canon)
+        if cited is not None:
+            return State.SOLVED, cited
+        return State.REMAINING, self.readings(canon)[0][2]
+
+    def full(self, canon):
+        state, provenance = self.status(canon)
+        return None if state is State.REMAINING else provenance
+
+    def published(self, canon):
+        direct = self.base(canon)
+        if direct is not None:
+            return direct
+        mods = {tuple(m["pair"]): m for m in self.reg["modulus_exclusions"]}
+        for pair, n, _ in self.readings(canon):
+            rule = mods.get(pair)
+            if rule and any(n % m == 0 for m in rule["moduli"]):
+                return rule["citation"]
+            for d in divisors(n)[1:-1]:
+                red = tuple(sorted(pair + (d,)))
+                if classify_chi(Signature(*red)) is ChiClass.SPHERICAL:
+                    continue
+                if self.base(red) is not None:
+                    return f"parameter reduces to {red}: {self.base(red)}"
+                if not self.readings(red):
+                    return f"parameter reduces to {red}: complement of the remaining list"
+        return None
+
+
+def _registry_variant(reg: dict, edits) -> dict:
+    """reg with each edit applied: ("drop", section, i) removes an entry,
+    ("n_min", i, delta) moves the n_min of the i-th entry that has one, and
+    ("n_extra", i, n) adds n to the extras of the i-th pair family."""
+    reg = json.loads(json.dumps(reg))
+    for edit in edits:
+        if edit[0] == "drop":
+            entries = reg[edit[1]]
+            entries.pop(edit[2] % len(entries))
+        elif edit[0] == "n_min":
+            owners = [e for s in ("solved_rules", "remaining_families")
+                      for e in reg[s] if "n_min" in e]
+            owner = owners[edit[1] % len(owners)]
+            owner["n_min"] = max(2, owner["n_min"] + edit[2])
+        else:
+            pairs = [f for f in reg["remaining_families"] if f.get("kind", "pair") == "pair"]
+            family = pairs[edit[1] % len(pairs)]
+            family["n_extra"] = sorted({*family.get("n_extra", ()), edit[2]})
+    return reg
+
+
+_EDITS = st.lists(st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(["solved_rules", "remaining_families"]),
+              st.integers(0, 30)),
+    st.tuples(st.just("n_min"), st.integers(0, 30), st.integers(-4, 4)),
+    st.tuples(st.just("n_extra"), st.integers(0, 30), st.integers(4, 700))),
+    min_size=1, max_size=2)
+
+
+@settings(max_examples=12, deadline=None)
+@given(_EDITS)
+def test_indexed_registry_equals_a_plain_loop_over_the_rules(tmp_path_factory, edits):
+    reg = _registry_variant(load_registry(), edits)
+    path = tmp_path_factory.mktemp("variant") / "registry.json"
+    path.write_text(json.dumps(reg))
+    plain = _PlainRegistry(reg)
+    for canon in itertools.combinations_with_replacement(range(2, 23), 3):
+        got = status(Signature(*canon), str(path))
+        assert (got.state, got.provenance) == plain.status(canon), canon
+    for closure, exclusion in (("full", plain.full), ("published", plain.published)):
+        result = count_remaining("ge4", closure=closure, registry_path=str(path))
+        expected = [(c, exclusion(c)) for c in catalog._in_range_candidates(4, str(path))]
+        assert result.ledger == [c for c, cite in expected if not cite]
+        assert result.excluded == [{"signature": list(c), "citation": cite}
+                                   for c, cite in expected if cite]

@@ -158,6 +158,41 @@ def test_bounds_rejects_composite_and_ignored_options(capsys, tmp_path, argv, me
     assert message in err
 
 
+# Every Vol constant these calls read, so each would run without the option
+# that the case ignores; with it, each ends in one error line.
+_IGNORED_OPTION_VOLS = (
+    [{"family": "GENERAL_ABC", "kind": 1, "l": l, "value": "0.25"} for l in (11, 13)]
+    + [{"family": "GENERAL_ABC", "kind": 3, "l": l, "value": "0.25"} for l in (17, 19)]
+    + [{"family": "TWO_THREE", "kind": 1, "l": l, "value": "0.25"} for l in (11, 17)]
+    + [{"family": "TWO_THREE", "kind": 2, "l": l, "q": 5, "value": "0.25"} for l in (17, 19)]
+    + [{"family": "THREE_RS", "kind": 1, "l": l, "value": "0.25"} for l in (11, 17)]
+)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("twothree-t", "23", "--set", "11", "17", "--u0", "12"), "twothree-t does not use u0"),
+    (("twothree-q", "55", "--set", "17", "19", "--q", "5", "--u0", "11"),
+     "twothree-q does not use u0"),
+    (("general-2tor", "5", "7", "11", "--set", "17", "19", "--u0", "12"),
+     "general-2tor does not use u0"),
+    (("general", "5", "7", "11", "--set", "11", "13", "--situation", "b", "--u0", "12"),
+     "general uses u0 only in situation a"),
+    (("general", "5", "7", "11", "--set", "11", "13", "--q", "5"),
+     "general does not use q; only twothree-q does"),
+    (("threers", "7", "11", "--set", "11", "17", "--q", "5"),
+     "threers does not use q; only twothree-q does"),
+    (("general", "5", "7", "11", "--set", "11", "13", "--u0", "0"), "need u0 >= 1, got u0=0"),
+])
+def test_bounds_rejects_an_option_its_case_does_not_read(capsys, tmp_path, argv, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema_version": 1, "vol_tables": _IGNORED_OPTION_VOLS}))
+    code, out, err = run(capsys, "--config", str(path), "bounds", *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    # The last option and its value are the ones at fault: without them it runs.
+    code, out, err = run(capsys, "--config", str(path), "bounds", *argv[:-2])
+    assert code == 0 and err == "", err
+
+
 def test_bounds_choices_are_the_case_table():
     from gfekit.bounds import _CASES
 
@@ -210,6 +245,24 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
     code, _, err = run(capsys, "search", "/nonexistent/plan.json")
     assert code == 2
+
+
+# profile 23 11 is the (2,3,t) profile below t = 60, where only the t-sieve
+# applies: its text and JSON, pinned.
+_PROFILE_23_11_TEXT = (
+    "profile twothree (23,) l=11 exponent range (11, 121)\n"
+    "  z: exp=23 log-smooth<=none l-part in [] e2<=174 e3<=110 el<=0\n")
+_PROFILE_23_11_JSON = (
+    '{"exponent_range": [11, 121], "exponents": [23], "family": "twothree", "l": 11, '
+    '"notes": ["structure caps need t >= 60; only the t-sieve applies"], "pair_caps": {}, '
+    '"variables": {"z": {"cap_e2": 174, "cap_e3": 110, "cap_el": 0, "exponent": 23, '
+    '"forced_power_of_two": false, "lpart_candidates": [], "notes": [], '
+    '"smooth_log_cap": null}}}\n')
+
+
+def test_profile_of_twothree_below_t_60_pinned(capsys):
+    assert run(capsys, "profile", "23", "11") == (0, _PROFILE_23_11_TEXT, "")
+    assert run(capsys, "--json", "profile", "23", "11") == (0, _PROFILE_23_11_JSON, "")
 
 
 def test_profile_with_more_than_three_exponents_is_usage_error(capsys):
@@ -516,6 +569,31 @@ def test_command_loads_only_its_layers(argv, unused):
 def test_indent1_json_matches_the_json_module():
     samples = [{}, [], (), 0, -7, 2.5, True, None, "é\n\"]",
                {"b": [1, 2, [3, []]], "a": {"z": (True, None, "x"), "y": {}},
-                "c": [{"k": 1.0}, 3, "s"], "d": [False, 1]}]
+                "c": [{"k": 1.0}, 3, "s"], "d": [False, 1]},
+               # Lists of one shape, which go through one template per list.
+               [{"citation": "(2,3,n), n in {7,8}", "signature": [3, 8, 25]},
+                {"signature": (3, 8, 55), "citation": "x"}],
+               [{"k{}": 1, "z": [1, 2]}, {"z": [3, 4], "k{}": -2}],
+               [{"a": {"b": [1]}}, {"a": {"b": [2, 3]}}], [{"a": 1.5}, {"a": 2}],
+               [{"a": []}, {"a": [1]}], [{}, {}], [[], []], [[1, 2], (3, 4), [-5, 10**20]],
+               [[1, True], [2, 3]], [[1, 2], [3]], ["x", "é{}"], [1, True], [True, False]]
+    # One container met at three depths, as the ledger meets its exclusions.
+    shared = [{"c": "x", "s": [1, 2]}, {"c": "y", "s": [3, 4]}, "z"]
+    samples.append({"b": {"d": shared, "e": [shared]}, "a": shared})
     for obj in samples:
         assert cli._indent1_json(obj) == json.dumps(obj, indent=1, sort_keys=True)
+
+
+_JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=5),
+                         st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=25)
+@given(st.recursive(_JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=2), max_size=4),
+    st.lists(st.fixed_dictionaries({"{c}": inner, "s": st.lists(st.integers(), max_size=2)}),
+             max_size=3),
+    st.dictionaries(st.text(max_size=3), inner, max_size=3)), max_leaves=8))
+def test_indent1_json_matches_the_json_module_on_any_document(obj):
+    assert cli._indent1_json(obj) == json.dumps(obj, indent=1, sort_keys=True)

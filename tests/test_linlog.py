@@ -1,7 +1,10 @@
 import ast
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -18,6 +21,7 @@ from gfekit.linlog import LinLog, PrecisionExhausted, log_atom, log_bounds, log_
 from tests.conftest import count_interval_calls, exact_fraction, log_ratio_convergents
 
 LADDER = (128, 256, 512, 1024)
+SRC = Path(__file__).resolve().parents[1] / "src"
 PRIMES_BELOW_10K = small_primes(10**4)
 
 
@@ -106,6 +110,18 @@ def test_floor_exp_exact_and_capped():
     assert LinLog.of(10**4).floor_exp(at_most=50) == 50
     with pytest.raises(PrecisionExhausted):
         LinLog.of(10**4).floor_exp()
+
+
+def test_floor_exp_decides_a_huge_negative_form_from_its_enclosure():
+    # sign() is -1 at 128 bits, so floor_exp must answer 0 just as fast and
+    # never multiply out 2^(10^7) / 3^6309298. A child process holds the call,
+    # so a hang fails the test at the time limit instead of stalling the run.
+    code = ("from gfekit.linlog import log_atom\n"
+            "print((log_atom(2, 10**7) - log_atom(3, 6309298)).floor_exp())")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
 
 def test_log_bounds_bracket_prime_logs():

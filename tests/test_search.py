@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import gfekit.search
 from gfekit.arith import factor, integer_nth_root, is_perfect_square
@@ -501,3 +501,23 @@ def test_square_residue_ys_keeps_every_square(x, y0, sign, below, above, shift):
         assert set(squares) <= set(kept)
     assert y0 in _square_residue_ys(x * x - (sign * y0) ** 3, lo, hi, sign)
     assert _square_residue_ys(0, hi + 1, hi, sign) == []
+
+
+@settings(max_examples=40)
+@given(st.integers(min_value=-10**13, max_value=10**13),
+       st.integers(min_value=1, max_value=10**6),
+       st.integers(min_value=0, max_value=1500),
+       st.sampled_from((1, -1)),
+       st.sampled_from((1, 2, 6, 12, 13, 17, 23, 35, 5 * 7 * 11 * 13)))
+def test_square_residue_ys_are_exactly_the_residue_survivors(k, lo, size, sign, coprime_to):
+    # Oracle: each y tested on its own against every modulus of the sieve.
+    moduli = (64, 63, 65, 11, 17, 19)
+    squares = {m: {i * i % m for i in range(m)} for m in moduli}
+    expected = [y for y in range(lo, lo + size)
+                if all(((sign * y) ** 3 + k) % m in squares[m]
+                       and math.gcd(math.gcd(y, coprime_to), m) == 1 for m in moduli)]
+    # Every end of the range within two bytes of the last, since the sieve
+    # packs eight y to a byte.
+    for hi in range(max(lo - 1, lo + size - 17), lo + size):
+        kept = _square_residue_ys(k, lo, hi, sign, coprime_to)
+        assert kept == [y for y in expected if y <= hi], hi

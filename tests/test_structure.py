@@ -86,6 +86,19 @@ def test_exponent_sieves_settle_at_the_initial_precision(monkeypatch):
     assert (general_v2_sieve.__wrapped__(), threers_v3_sieve.__wrapped__()) == expected
 
 
+@pytest.mark.parametrize("p, k, x", [
+    # float(x) / log p lands just below k: the estimate is k - 1.
+    (2, 51, log_atom(2, 51)), (2, 55, log_atom(2, 55)), (3, 15, log_atom(3, 15)),
+    # Just below an exact multiple the float loses the gap: the estimate is k + 1.
+    (2, 10, log_atom(2, 11) - Fraction(1, 10**30)),
+    (3, 7, log_atom(3, 8) - Fraction(1, 10**30)),
+    (5, 4, log_atom(5, 5) - Fraction(1, 10**30)),
+])
+def test_floor_over_log_steps_from_a_float_estimate_that_is_off(p, k, x):
+    assert abs(math.floor(float(x) / math.log(p)) - k) == 1
+    assert structure._floor_over_log(p, x) == k
+
+
 def test_general_x1_collapse():
     assert general_x1_collapse_threshold() == 69
 
